@@ -89,7 +89,6 @@ from .saturation import (
 from .extended import (
     FiniteLanguage,
     TransitionAutomaton,
-    extended_satstep,
     prestar_extended,
     ta_successors,
 )

@@ -42,8 +42,6 @@ __all__ = [
     "ta_successors",
     "TransitionAutomaton",
     "FiniteLanguage",
-    "prepend_rule",
-    "extended_satstep",
     "prestar_extended",
 ]
 
@@ -144,8 +142,7 @@ class FiniteLanguage:
     def initials(self, aut: StackAutomaton, t2: LongForm,
                  layer: int | None = None):
         """All ``t`` with a word of this language running from t to ``t2``."""
-        key = (aut.uid, aut.transition_count(), aut.state_count(), t2.key,
-               layer)
+        key = (aut.uid, aut.revision, t2.key, layer)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -166,43 +163,6 @@ class FiniteLanguage:
                 found.update(frontier)
         out = [found[k] for k in sorted(found)]
         return memo_put(self._memo, key, out)
-
-    def decide(self, aut: StackAutomaton, t: LongForm, t2: LongForm,
-               layer: int | None = None) -> bool:
-        return any(x == t for x in self.initials(aut, t2, layer))
-
-
-def prepend_rule(rule: Rule, lang):
-    """The language ``rule . lang``: used to align a language's start control
-    with the source control of the extended rule carrying it."""
-
-    class _Prepended:
-        name = f"{rule!r}.{lang!r}"
-
-        def words(self):
-            return [(rule,) + tuple(w) for w in lang.words()]
-
-        def initials(self, aut, t2, layer=None):
-            out = {}
-            for x in lang.initials(aut, t2, layer):
-                for t1 in ta_predecessors(rule, x, aut, layer):
-                    out[t1.key] = t1
-            return [out[k] for k in sorted(out)]
-
-        def decide(self, aut, t, t2, layer=None):
-            return any(x == t for x in self.initials(aut, t2, layer))
-
-        def __repr__(self):
-            return self.name
-
-    return _Prepended()
-
-
-def extended_satstep(source, aut: StackAutomaton, **kw):
-    """One extended saturation step: the plain step plus language additions."""
-    from .saturation import satstep
-
-    return satstep(source, aut, extended=True, **kw)
 
 
 def prestar_extended(sys: Mcpds, a0: StackAutomaton, **kw):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from . import stacks as ST
 from .automata import LongForm, StackAutomaton, flat_key, lf_key
 from .errors import BudgetExceeded, NotNormalized, RecursionDepthExceeded
-from .extended import memo_put, state_control, ta_predecessors
+from .extended import memo_put, prestar_extended, state_control, ta_predecessors
 from .regular import RegTuple, RegularConfigSet
 from .saturation import prestar
 from .stacks import BOTTOM
@@ -68,12 +68,13 @@ class CpdaRule:
     op: ST.Op
     dst: object
 
-    def __lt__(self, other):
-        return flat_key(
+    def __post_init__(self):
+        object.__setattr__(self, "_key", flat_key(
             (self.src, self.letter, repr(self.inp), repr(self.op), self.dst)
-        ) < flat_key(
-            (other.src, other.letter, repr(other.inp), repr(other.op), other.dst)
-        )
+        ))
+
+    def __lt__(self, other):
+        return self._key < other._key
 
 
 @dataclass
@@ -89,6 +90,10 @@ class LeftCpda:
     of generating rules of the original system.  Rules of earlier stacks
     are lifted with a no-effect input recording the control change; rules
     of the last stack become pure control moves emitting themselves.
+
+    ``gset_memo`` holds the global solutions of the products of this
+    automaton with transition automata (see ``OrderedSolver``), so it lives
+    exactly as long as the automaton.
     """
 
     def __init__(self, order, alphabet, rule_sets):
@@ -101,6 +106,7 @@ class LeftCpda:
             for r in rs:
                 idx.setdefault(r.dst, []).append(r)
             self._into.append(idx)
+        self.gset_memo = {}
 
     @property
     def stacks(self):
@@ -257,7 +263,7 @@ class CpdaLang:
         raise LanguageQueryFailure("segment languages are not enumerable")
 
     def _batch(self, aut: StackAutomaton, t2: LongForm):
-        key = (aut.uid, aut.transition_count(), aut.state_count(), t2.key)
+        key = (aut.uid, aut.revision, t2.key)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
@@ -274,21 +280,21 @@ class CpdaLang:
                 out[t.key] = t
         return [out[k] for k in sorted(out)]
 
-    def decide(self, aut: StackAutomaton, t: LongForm, t2: LongForm) -> bool:
-        return any(x == t for x in self.initials(aut, t2))
 
-
-def build_rightcpds(sys: Mcpds, solver: "OrderedSolver | None" = None):
+def build_rightcpds(sys: Mcpds, solver: "OrderedSolver | None" = None,
+                    left: LeftCpda | None = None):
     """Single-stack extended system over the last stack.
 
     Plain rules are the last stack's rules verbatim; for every bottom push
     opening a segment on an earlier stack, one extended rule per top letter
-    and exit control carries the corresponding segment language.
+    and exit control carries the corresponding segment language.  ``left``
+    is ``build_leftcpda(sys)``, built here when not given.
     """
     solver = solver or OrderedSolver()
     _require_normalized(sys)
     m = sys.stacks
-    left = build_leftcpda(sys)
+    if left is None:
+        left = build_leftcpda(sys)
     ext = []
     letters = list(sys.alphabet)
     for i in range(m - 1):
@@ -311,11 +317,22 @@ def build_rightcpds(sys: Mcpds, solver: "OrderedSolver | None" = None):
 
 
 class OrderedSolver:
+    """The stack-count induction, with its sub-solves memoised.
+
+    ``empty_global`` is a function of the system, the target and the depth
+    alone, so its results are kept per solver under a content key; the
+    memo dies with the solver.  ``stats`` counts, deterministically,
+    saturations, products, batch queries, product solves, and the calls
+    to ``empty_global`` (``global_calls``) against the ones that solved
+    (``global_solves``).
+    """
+
     def __init__(self, limits: OrderedLimits | None = None):
         self.limits = limits or OrderedLimits()
         self.stats = {"saturations": 0, "products": 0, "batch_queries": 0,
-                      "product_solves": 0}
-        self._gset_memo = {}
+                      "product_solves": 0, "global_calls": 0,
+                      "global_solves": 0}
+        self._global_memo = {}
 
     # -- language queries ---------------------------------------------------
 
@@ -325,11 +342,11 @@ class OrderedSolver:
 
         Every language handle over the same final transition shares this
         solve; the handle-specific entry control, letter, and pushed stack
-        are membership filters on the result.
+        are membership filters on the result.  The memo lives on ``left``
+        and is keyed by the automaton's revision.
         """
-        key = (id(left), aut.uid, aut.transition_count(), aut.state_count(),
-               tprime.key)
-        hit = self._gset_memo.get(key)
+        key = (aut.uid, aut.revision, tprime.key)
+        hit = left.gset_memo.get(key)
         if hit is not None:
             return hit
         self.stats["product_solves"] += 1
@@ -341,9 +358,7 @@ class OrderedSolver:
         if sysm.stacks > 1:
             sysm = normalize_ordered(sysm)
         gset = self.empty_global(sysm, target, depth=left.stacks)
-        from .extended import memo_put
-
-        return memo_put(self._gset_memo, key, gset)
+        return memo_put(left.gset_memo, key, gset)
 
     def langcheck_batch(self, left: LeftCpda, aut: StackAutomaton, q1, a,
                         tprime: LongForm, push_letter: str, stack_index: int):
@@ -375,8 +390,20 @@ class OrderedSolver:
 
         ``sys`` must be ordered and bottom-normalized.  Controls introduced
         by normalisation of inner products are kept in the result; callers
-        filter to the controls they care about.
+        filter to the controls they care about.  Results are shared between
+        calls with content-equal arguments and must not be mutated.
         """
+        self.stats["global_calls"] += 1
+        key = (sys.order, sys.alphabet, sys.controls, sys.rule_sets,
+               sys.ext_rule_sets, sys.mode, target_control, depth)
+        hit = self._global_memo.get(key)
+        if hit is None:
+            self.stats["global_solves"] += 1
+            hit = self._global_memo[key] = self._solve_global(
+                sys, target_control, depth)
+        return hit
+
+    def _solve_global(self, sys: Mcpds, target_control, depth) -> RegularConfigSet:
         if depth < 0:
             raise RecursionDepthExceeded("ordered recursion exceeded stack count")
         m = sys.stacks
@@ -392,9 +419,8 @@ class OrderedSolver:
                 if b.has_control(q):
                     out.add(RegTuple(q, (b,), (b.require_control(q),)))
             return out
-        right = build_rightcpds(sys, self)
-        from .extended import prestar_extended
-
+        left = build_leftcpda(sys)
+        right = build_rightcpds(sys, self, left)
         bm, _ = prestar_extended(right, a0)
         self.stats["saturations"] += 1
         bot_aut = exact_stack_automaton(n, sys.alphabet, {"root": [ST.bottom(n)]})
@@ -409,7 +435,7 @@ class OrderedSolver:
         # descend: guess the exit control and final transition of the last
         # stack, track its transition automaton in the control of a product
         # over the remaining stacks, and splice the recursive solution
-        left = build_leftcpda(sys)
+        spliced = {}  # x -> bm re-rooted at x, shared by every tuple ending in x
         for q2 in sys.controls:
             if not bm.has_control(q2):
                 continue
@@ -421,12 +447,10 @@ class OrderedSolver:
                             and isinstance(ctl[1], LongForm)):
                         continue
                     q, x = ctl
-                    spliced = self._splice(bm, x)
-                    out.add(RegTuple(
-                        q,
-                        tup.autos + (spliced[0],),
-                        tup.initials + (spliced[1],),
-                    ))
+                    if x not in spliced:
+                        spliced[x] = self._splice(bm, x)
+                    aut, init = spliced[x]
+                    out.add(RegTuple(q, tup.autos + (aut,), tup.initials + (init,)))
         return out
 
     def _descend(self, sys, left, bm, q2, tprime, depth) -> RegularConfigSet:
@@ -470,8 +494,6 @@ def ordered_reachability(sys: Mcpds, q_in, q_out,
         b, _ = prestar(single, a0)
         return b.has_control(q_in) and b.member(q_in, ST.bottom(n))
     right = build_rightcpds(cleared, solver)
-    from .extended import prestar_extended
-
     bm, _ = prestar_extended(right, a0)
     return bm.has_control(q_in) and bm.member(q_in, ST.bottom(n))
 

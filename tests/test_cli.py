@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -132,3 +134,19 @@ def test_config_literal_parse_errors():
         parse_config_literal("q0 | <1 _ 1>", sf.system)
     with pytest.raises(ParseError):
         parse_config_literal("zz | <1 _ 1> | <1 _ 1>", sf.system)
+
+
+def test_global_output_is_identical_across_hash_seeds():
+    """Memo keys and iteration orders must not leak hash randomisation."""
+    src = str(Path(__file__).parent.parent / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpds.cli", "global",
+             str(FIX / "fix3.cpds"), "--to", "q7"],
+            capture_output=True, env=env, timeout=300, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]

@@ -14,7 +14,7 @@ from cpds import (
     ordered_global,
     ordered_reachability,
 )
-from cpds.automata import exact_stack_automaton
+from cpds.automata import exact_stack_automaton, flat_key
 from cpds.extended import prestar_extended
 from cpds.oracle import (
     ExploreBounds,
@@ -181,3 +181,54 @@ def test_ordered_global_single_stack_is_prestar():
     assert gset.stacks == 1
     assert gset.member(Configuration("p", (bottom(2),)))
     assert gset.member(Configuration("t", (bottom(2),)))
+
+
+def _cleared_fix3():
+    return add_clearing_rules(normalize_ordered(fix3()), "q7")
+
+
+def _twin(sysd, controls=None):
+    """A distinct ``Mcpds`` object with the same (or reordered) content."""
+    return Mcpds(sysd.order, sysd.alphabet,
+                 list(controls if controls is not None else sysd.controls),
+                 [list(rs) for rs in sysd.rule_sets], sysd.mode)
+
+
+def test_leftcpda_rule_order_is_the_flat_key_order():
+    left = build_leftcpda(normalize_ordered(fix3()))
+    for rs in left.rule_sets:
+        keys = [flat_key((r.src, r.letter, repr(r.inp), repr(r.op), r.dst))
+                for r in rs]
+        assert len(set(keys)) == len(keys)
+        assert keys == sorted(keys)
+
+
+def test_empty_global_memo_is_keyed_by_content():
+    cleared, fin = _cleared_fix3()
+    solver = OrderedSolver()
+    first = solver.empty_global(cleared, fin, cleared.stacks)
+    # nested products repeat: fewer solves than calls
+    assert 0 < solver.stats["global_solves"] < solver.stats["global_calls"]
+    solves, calls = solver.stats["global_solves"], solver.stats["global_calls"]
+    twin = _twin(cleared)
+    assert twin is not cleared
+    assert solver.empty_global(twin, fin, twin.stacks) is first
+    assert solver.stats["global_solves"] == solves
+    assert solver.stats["global_calls"] == calls + 1
+    fresh = OrderedSolver().empty_global(twin, fin, twin.stacks)
+    assert [t.key() for t in fresh.tuples] == [t.key() for t in first.tuples]
+
+
+def test_empty_global_memo_separates_target_and_controls_order():
+    cleared, fin = _cleared_fix3()
+    solver = OrderedSolver()
+    first = solver.empty_global(cleared, fin, cleared.stacks)
+    solves = solver.stats["global_solves"]
+    solver.empty_global(cleared, "q7", cleared.stacks)
+    assert solver.stats["global_solves"] > solves
+    solves = solver.stats["global_solves"]
+    flipped = _twin(cleared, reversed(cleared.controls))
+    again = solver.empty_global(flipped, fin, flipped.stacks)
+    assert solver.stats["global_solves"] > solves
+    assert again is not first
+    assert {t.key() for t in again.tuples} == {t.key() for t in first.tuples}
