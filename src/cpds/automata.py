@@ -31,6 +31,7 @@ fixpoint's justification choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import stacks as ST
 from .errors import OrderMismatch, PreconditionViolation, UnknownControl
@@ -329,14 +330,6 @@ class StackAutomaton:
             cur = self.add_high_transition(cur, t.targets[k - 1])
         return self.add_delta1(cur, t.letter, t.branch, t.targets[0])
 
-    def has_long_form(self, t: LongForm) -> bool:
-        cur = t.head
-        for k in range(self.order, 1, -1):
-            cur = self.delta_high[k].get((cur, frozenset(t.targets[k - 1])))
-            if cur is None:
-                return False
-        return (t.letter, frozenset(t.branch), frozenset(t.targets[0])) in self.delta1.get(cur, {})
-
     # -- chain enumeration -------------------------------------------------
 
     def delta1_from(self, src: State):
@@ -369,14 +362,6 @@ class StackAutomaton:
                     out.append((letter, branch, sub + (targets,)))
         out.sort(key=lambda c: (c[0], _set_key(c[1]), tuple(_set_key(s) for s in c[2])))
         memo[src] = out
-        return out
-
-    def long_forms(self):
-        """All long-form transitions of the automaton, head order n."""
-        out = []
-        for s in self.states[self.order]:
-            for letter, branch, targets in self.chains_from(s):
-                out.append(LongForm(s, letter, branch, targets))
         return out
 
     def long_forms_from(self, head: State):
@@ -500,15 +485,6 @@ class StackAutomaton:
             order = next(iter(qs)).order
         return (order, qs)
 
-    def nonempty_states(self) -> dict:
-        """Per order, the states with nonempty individual language."""
-        out = {k: [] for k in range(1, self.order + 1)}
-        for k in range(1, self.order + 1):
-            for s in self.states[k]:
-                if self.nonempty([s]):
-                    out[k].append(s)
-        return out
-
     def _solve_nonempty(self):
         """Least fixpoint of joint nonemptiness over discovered queries.
 
@@ -555,7 +531,7 @@ class StackAutomaton:
                 if not opts:
                     return False, None, new
                 options.append(opts)
-            for choice in _product(options):
+            for choice in product(*options):
                 labels = frozenset(l for l, _ in choice)
                 rest = frozenset().union(*[t for _, t in choice]) if choice else frozenset()
                 q1 = (order - 1, labels)
@@ -583,7 +559,7 @@ class StackAutomaton:
             options = [per_letter[letter][q] for q in sorted_states(qs)]
             if any(not o for o in options):
                 continue
-            for choice in _product(options):
+            for choice in product(*options):
                 branch = frozenset().union(*[b for b, _ in choice]) if choice else frozenset()
                 rest = frozenset().union(*[t for _, t in choice]) if choice else frozenset()
                 orders = {b.order for b in branch}
@@ -915,9 +891,9 @@ class StackAutomaton:
         for src, letter, br, tg in doc["delta1"]:
             a.add_delta1(st(src), letter, [st(b) for b in br], [st(t) for t in tg])
         for c, s in doc.get("controls", []):
-            a.controls[_unjsonable_control(c)] = st(s)
+            a.remap_control(_unjsonable(c), st(s))
         for s, l in doc.get("layers", []):
-            a.layers[st(s)] = l
+            a.add_state(st(s), layer=l)
         return a
 
 
@@ -938,21 +914,6 @@ def _unjsonable(x):
             return tuple(_unjsonable(p) for p in x[1:])
         return tuple(x)
     return x
-
-
-def _unjsonable_control(x):
-    return _unjsonable(x)
-
-
-def _product(options):
-    """Deterministic cartesian product of option lists."""
-    if not options:
-        yield ()
-        return
-    head, *rest = options
-    for h in head:
-        for r in _product(rest):
-            yield (h,) + r
 
 
 # ---------------------------------------------------------------------------

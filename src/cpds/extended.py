@@ -91,9 +91,6 @@ class TransitionAutomaton:
         self.final = final
         self.layer = layer
 
-    def edges_into(self, t2: LongForm):
-        return ta_successors(self.gen_rules, t2, self.aut, self.layer)
-
     def accepts(self, word) -> bool:
         """Is there a run from ``initial`` to ``final`` labelled ``word``?"""
         frontier = {self.final.key: self.final}
@@ -166,5 +163,9 @@ class FiniteLanguage:
 
 
 def prestar_extended(sys: Mcpds, a0: StackAutomaton, **kw):
-    """Saturation fixpoint including the extended-rule additions."""
-    return prestar(sys, a0, extended=True, **kw)
+    """Saturation fixpoint of an extended system.
+
+    The same as :func:`prestar`, which includes extended rules whenever the
+    system has them.
+    """
+    return prestar(sys, a0, **kw)

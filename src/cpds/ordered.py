@@ -205,11 +205,14 @@ def _materialize(source, order, alphabet, stacks, seeds, limit) -> Mcpds:
             k = flat_key(rule.src)
             if k not in controls:
                 if len(controls) >= limit:
-                    raise BudgetExceeded("product control budget exceeded")
+                    raise BudgetExceeded(
+                        f"product control budget exceeded: "
+                        f"{len(controls) + 1} controls, limit {limit}"
+                    )
                 controls[k] = rule.src
                 queue.append(rule.src)
     return Mcpds(order, alphabet, list(controls.values()),
-                 [sorted(set(rs)) for rs in rule_sets], "ordered")
+                 [set(rs) for rs in rule_sets], "ordered")
 
 
 def build_langcheckcpds(left: LeftCpda, aut: StackAutomaton, t: LongForm,

@@ -15,6 +15,7 @@ blindly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import stacks as ST
 from .automata import StackAutomaton, State, accept_all_automaton, flat_key
@@ -58,6 +59,8 @@ class _PbSource:
     transition over that stack's current automaton.
     """
 
+    extended = False
+
     def __init__(self, sys: Mcpds, s: int, autos: dict, tprimes: dict,
                  q_prev, q_cur):
         self.sys = sys
@@ -81,9 +84,6 @@ class _PbSource:
 
     def seed_controls(self):
         return [self.q_cur]
-
-    def ext_rules_into(self, dst):
-        return ()
 
     def _noop_preds(self, q, qdst, ta):
         """Simultaneous no-effect moves of all tracked components."""
@@ -188,7 +188,7 @@ class _PhaseSolver:
                 return
             tprime_options.append(opts)
         count = 0
-        for choice in _product(tprime_options):
+        for choice in product(*tprime_options):
             tprimes = dict(zip(others, choice))
             source = build_pbcpds(self.sys, s, autos, tprimes, q_prev, q_cur)
             base = self._clean_copy(autos[s])
@@ -202,7 +202,10 @@ class _PhaseSolver:
             for ta in self._admissible_entries(sat, q_prev):
                 count += 1
                 if count > self.limits.max_branches:
-                    raise BudgetExceeded("phase branching budget exceeded")
+                    raise BudgetExceeded(
+                        f"phase branching budget exceeded: {count} branches, "
+                        f"limit {self.limits.max_branches}"
+                    )
                 new_autos = {}
                 # popping stack: re-root on the entry vector's product state
                 entry_state = sat.require_control((q_prev, ta))
@@ -272,29 +275,10 @@ class _PhaseSolver:
         controls = list(self.sys.controls)
         starts = [q_in] if q_in is not None else controls
         for q0 in starts:
-            for mids in _tuples(controls, self.z - 1):
+            for mids in product(controls, repeat=self.z - 1):
                 bounds = (q0,) + mids + (q_out,)
-                for pops in _tuples(list(range(self.sys.stacks)), self.z):
+                for pops in product(range(self.sys.stacks), repeat=self.z):
                     yield PhasePlan(bounds, pops)
-
-
-def _tuples(items, k):
-    if k == 0:
-        yield ()
-        return
-    for head in items:
-        for rest in _tuples(items, k - 1):
-            yield (head,) + rest
-
-
-def _product(options):
-    if not options:
-        yield ()
-        return
-    head, *rest = options
-    for h in head:
-        for r in _product(rest):
-            yield (h,) + r
 
 
 def phase_reachability(sys: Mcpds, z: int, q_in, q_out,

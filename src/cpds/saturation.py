@@ -8,17 +8,23 @@ already in the automaton; generating rules rewrite an existing long-form
 transition of the head control, possibly merging in set-form transitions
 (the copy and push cases).
 
-The default mode restricts additions to top-order target sets of size at
-most one.  This is sound when the initial automaton is non-alternating at
-the top order, which holds for every automaton this package constructs;
-the unoptimised mode is a keyword away.
+One saturation pass gathers every candidate a step derives from its input
+automaton (plain rules and, when the rule source has them, extended rules),
+then inserts them in ``lf_key`` order.  :func:`satstep` writes the pass
+into a copy, so iterating it reproduces the A_{i+1} = step(A_i) sequence;
+:func:`prestar` writes it back into its input until a pass adds nothing,
+which reaches the same fixpoint without the copies.
+
+Additions are restricted to top-order target sets of size at most one
+whenever the initial automaton is non-alternating at the top order, which
+holds for every automaton this package constructs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .automata import LongForm, StackAutomaton, State, lf_key
+from .automata import LongForm, StackAutomaton, lf_key
 from .errors import BudgetExceeded
 from .stacks import BOTTOM
 from .systems import Rule
@@ -29,17 +35,10 @@ __all__ = [
     "satstep",
     "prestar",
     "SaturationStats",
-    "ctl_state",
     "exp_tower",
     "non_alternating_top",
     "ExplicitRules",
 ]
-
-
-def ctl_state(order: int, control, layer: int | None = None) -> State:
-    """The canonical order-n state name of a control, without registering it."""
-    name = ("q", control) if layer is None else ("q", control, layer)
-    return State(order, name)
 
 
 def exp_tower(levels: int, x: int, clamp: int = 10 ** 9) -> int:
@@ -186,14 +185,16 @@ class ExplicitRules:
     """Rule source backed by explicit lists, indexed by destination control."""
 
     def __init__(self, rules, ext_rules=(), controls=()):
+        rules, ext_rules = sorted(rules), list(ext_rules)
         self._by_dst = {}
-        for r in sorted(rules):
+        for r in rules:
             self._by_dst.setdefault(r.dst, []).append(r)
         self._ext_by_dst = {}
         for er in ext_rules:
             self._ext_by_dst.setdefault(er.dst, []).append(er)
+        self.extended = bool(ext_rules)
         self.controls = list(controls)
-        self.rule_count = len(list(rules)) + len(list(ext_rules))
+        self.rule_count = len(rules) + len(ext_rules)
 
     def rules_into(self, dst):
         return self._by_dst.get(dst, ())
@@ -211,85 +212,81 @@ class SaturationStats:
     transitions_added: int = 0
     optimized: bool = False
     extended_queries: int = 0
-    details: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
-# The saturation step and its fixpoint
+# The saturation pass, its single step and its fixpoint
 # ---------------------------------------------------------------------------
 
 
-def _pass_candidates(source, aut, active, layer):
-    """``(src, dst, long-form)`` triples one step application would add."""
+def _saturation_pass(source, read: StackAutomaton, write: StackAutomaton, *,
+                     optimized: bool, layer: int | None,
+                     stats: SaturationStats) -> int:
+    """Insert into ``write`` what one saturation step derives from ``read``.
+
+    Every candidate is gathered before the first insertion, so ``write`` may
+    be ``read`` itself.  Returns the number of transitions added.
+    """
+    active = read.control_states(layer)
     cand = []
     for c in active:
         for r in source.rules_into(c):
             if r.consuming:
-                for t in auxsat_consuming(r, aut, layer):
+                for t in auxsat_consuming(r, read, layer):
                     cand.append((r.src, r.dst, t))
             else:
-                head = aut.peek_control(r.dst, layer)
-                for t0 in aut.long_forms_from(head):
-                    for t in auxsat_generating(r, t0, aut, layer):
+                head = read.peek_control(r.dst, layer)
+                for t0 in read.long_forms_from(head):
+                    for t in auxsat_generating(r, t0, read, layer):
                         cand.append((r.src, r.dst, t))
-    return cand
-
-
-def _extended_candidates(source, aut, active, layer, stats):
-    cand = []
-    for c in active:
-        for er in source.ext_rules_into(c):
-            head_dst = aut.peek_control(er.dst, layer)
-            src = aut.peek_control(er.src, layer)
-            for t2 in aut.long_forms_from(head_dst):
-                stats.extended_queries += 1
-                for t in er.lang.initials(aut, t2):
-                    if t.head == src and t.letter == er.letter:
-                        cand.append((er.src, er.dst, t))
-    return cand
+    if source.extended:
+        for c in active:
+            for er in source.ext_rules_into(c):
+                head_dst = read.peek_control(er.dst, layer)
+                src = read.peek_control(er.src, layer)
+                for t2 in read.long_forms_from(head_dst):
+                    stats.extended_queries += 1
+                    for t in er.lang.initials(read, t2):
+                        if t.head == src and t.letter == er.letter:
+                            cand.append((er.src, er.dst, t))
+    added = 0
+    for src_c, dst_c, t in sorted(cand, key=lambda c: lf_key(c[2])):
+        if optimized and len(t.targets[-1]) > 1:
+            continue
+        write.control_state(src_c, layer)
+        write.control_state(dst_c, layer)
+        if write.add_long_form(t):
+            added += 1
+    return added
 
 
 def satstep(source, aut: StackAutomaton, *, optimized: bool = False,
-            layer: int | None = None, extended: bool = False,
+            layer: int | None = None,
             stats: SaturationStats | None = None) -> tuple[StackAutomaton, int]:
     """One application of the saturation function: a new automaton.
 
-    Candidates are computed against the input automaton only, so iterating
-    ``satstep`` reproduces the A_{i+1} = step(A_i) sequence exactly.
+    Iterating ``satstep`` reproduces the A_{i+1} = step(A_i) sequence
+    exactly; it is the reference for :func:`prestar`.
     """
-    stats = stats or SaturationStats()
-    active = aut.control_states(layer)
-    cand = _pass_candidates(source, aut, active, layer)
-    if extended:
-        cand.extend(_extended_candidates(source, aut, active, layer, stats))
     nxt = aut.copy()
-    added = 0
-    for src, dst, t in sorted(cand, key=lambda c: lf_key(c[2])):
-        if optimized and len(t.targets[-1]) > 1:
-            continue
-        nxt.control_state(src, layer)
-        nxt.control_state(dst, layer)
-        if nxt.add_long_form(t):
-            added += 1
+    added = _saturation_pass(source, aut, nxt, optimized=optimized, layer=layer,
+                             stats=stats or SaturationStats())
     return nxt, added
 
 
-def prestar(sys_or_rules, a0: StackAutomaton, *, optimized: bool | None = None,
-            layer: int | None = None, check: bool = True,
-            max_transitions: int | None = None,
-            extended: bool = False) -> tuple[StackAutomaton, SaturationStats]:
+def prestar(sys_or_rules, a0: StackAutomaton, *, layer: int | None = None,
+            check: bool = True,
+            max_transitions: int | None = None) -> tuple[StackAutomaton, SaturationStats]:
     """Least saturation fixpoint over ``a0``.
 
     ``sys_or_rules`` is a single-stack system, an explicit rule list, or any
-    object with ``rules_into``/``ext_rules_into``/``seed_controls``.  The
-    returned automaton accepts pre* of ``L(a0)``.
+    object with ``rules_into``, ``seed_controls``, ``rule_count`` and
+    ``extended`` (and ``ext_rules_into`` when ``extended`` is true).  The
+    returned automaton accepts pre* of ``L(a0)``, extended rules included.
     """
     source = _as_source(sys_or_rules)
-    stats = SaturationStats(optimized=bool(optimized))
-    if optimized is None:
-        stats.optimized = non_alternating_top(a0)
-    cap = max_transitions or saturation_cap(a0.order, a0, source.rule_count
-                                            if hasattr(source, "rule_count") else 64)
+    stats = SaturationStats(optimized=non_alternating_top(a0))
+    cap = max_transitions or saturation_cap(a0.order, a0, source.rule_count)
     aut = a0.copy()
     for c in source.seed_controls():
         aut.control_state(c, layer)
@@ -299,28 +296,16 @@ def prestar(sys_or_rules, a0: StackAutomaton, *, optimized: bool | None = None,
         )
     while True:
         stats.iterations += 1
-        # candidates are collected against the frozen pass input before any
-        # mutation, so this reproduces iterated satstep without the copies
-        active = aut.control_states(layer)
-        cand = _pass_candidates(source, aut, active, layer)
-        if extended:
-            cand.extend(_extended_candidates(source, aut, active, layer, stats))
-        added = 0
-        for src_c, dst_c, t in sorted(cand, key=lambda c: lf_key(c[2])):
-            if stats.optimized and len(t.targets[-1]) > 1:
-                continue
-            aut.control_state(src_c, layer)
-            aut.control_state(dst_c, layer)
-            if aut.add_long_form(t):
-                added += 1
+        added = _saturation_pass(source, aut, aut, optimized=stats.optimized,
+                                 layer=layer, stats=stats)
         stats.transitions_added += added
         if stats.transitions_added > cap:
             raise BudgetExceeded(
-                f"saturation exceeded its transition cap ({cap})"
+                f"saturation transition cap exceeded: "
+                f"{stats.transitions_added} transitions added, limit {cap}"
             )
         if added == 0:
-            break
-    return aut, stats
+            return aut, stats
 
 
 def prestar_eager(sys_or_rules, a0: StackAutomaton, *, optimized: bool | None = None,
@@ -370,4 +355,4 @@ def _as_source(sys_or_rules):
         if sys.stacks != 1:
             raise ValueError("prestar saturates single-stack systems")
         return ExplicitRules(sys.rule_sets[0], sys.ext_rule_sets[0], sys.controls)
-    return ExplicitRules(list(sys_or_rules), (), ())
+    return ExplicitRules(sys_or_rules)

@@ -21,12 +21,13 @@ the automata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from . import stacks as ST
 from .automata import LongForm, StackAutomaton, State, flat_key
 from .errors import NotSupported, VertexBudgetExceeded
 from .regular import RegTuple, RegularConfigSet
-from .saturation import prestar
+from .saturation import ExplicitRules, prestar
 from .systems import Mcpds
 
 __all__ = [
@@ -163,8 +164,7 @@ def envmove(a: StackAutomaton, control_from, control_to) -> StackAutomaton:
     ``control_from`` (the shape a rewrite-to-itself rule would copy).
     """
     out = a.copy()
-    src = out.control_state(control_from, 1)
-    out.layers[src] = 1
+    src = out.add_state(out.control_state(control_from, 1), layer=1)
     if not a.has_control(control_to, 2):
         return out
     head = a.require_control(control_to, 2)
@@ -178,21 +178,8 @@ def saturate_layer(j: int, sys: Mcpds, a: StackAutomaton,
     """Saturate with stack j's rules against the layer-1 control states."""
     for q in sys.controls:
         a.control_state(q, 1)
-
-    class _Source:
-        rule_count = len(sys.rule_sets[j])
-
-        def rules_into(self, dst):
-            return [r for r in sys.rule_sets[j] if r.dst == dst]
-
-        def ext_rules_into(self, dst):
-            return ()
-
-        def seed_controls(self):
-            return list(sys.controls)
-
-    sat, _ = prestar(_Source(), a, layer=1, check=False,
-                     max_transitions=max_transitions)
+    sat, _ = prestar(ExplicitRules(sys.rule_sets[j], (), sys.controls), a,
+                     layer=1, check=False, max_transitions=max_transitions)
     return sat
 
 
@@ -293,29 +280,12 @@ def initial_vertices(sys: Mcpds, zeta: int, q_out,
         return sat_memo[key]
 
     out = []
-    for qs in _control_tuples(sys.controls, m, last=q_out):
+    for qs in product(*[sys.controls] * m, [q_out]):
         autos = tuple(saturated(j, qs[j + 1]) for j in range(m))
         v = ReachVertex(qs, autos)
         if _admissible(v):
             out.append(v)
     return out
-
-
-def _control_tuples(controls, m, last=None, first=None):
-    def rec(i):
-        if i == m + 1:
-            yield ()
-            return
-        if i == m and last is not None:
-            opts = [last]
-        elif i == 0 and first is not None:
-            opts = [first]
-        else:
-            opts = list(controls)
-        for c in opts:
-            for rest in rec(i + 1):
-                yield (c,) + rest
-    return rec(0)
 
 
 class _Graph:
@@ -331,11 +301,11 @@ class _Graph:
     def predecessors(self, v: ReachVertex):
         """Source vertices of edges into ``v`` (one round earlier)."""
         m = self.sys.stacks
-        for qs in _control_tuples(self.sys.controls, m, last=v.controls[0]):
+        for qs in product(*[self.sys.controls] * m, [v.controls[0]]):
             autos = []
-            ok = True
             for j in range(m):
-                key = (id(v.autos[j]), qs[j + 1], v.controls[j])
+                key = (v.autos[j].uid, v.autos[j].revision, qs[j + 1],
+                       v.controls[j])
                 aut = self.pred_memo.get(key)
                 if aut is None:
                     aut = predecessor(j, self.sys, v.autos[j], self.window,
@@ -344,7 +314,8 @@ class _Graph:
                     self.pred_memo[key] = aut
                 if aut.state_count() > self.bound:
                     raise VertexBudgetExceeded(
-                        "layered automaton outgrew its state ceiling"
+                        f"layered-automaton state ceiling exceeded: "
+                        f"{aut.state_count()} states, limit {self.bound}"
                     )
                 autos.append(aut)
             cand = ReachVertex(qs, tuple(autos))
@@ -375,7 +346,11 @@ class _Graph:
                     if k in seen:
                         continue
                     if len(seen) >= self.limits.max_vertices:
-                        raise VertexBudgetExceeded("reachability graph budget")
+                        raise VertexBudgetExceeded(
+                            f"reachability graph budget exceeded: "
+                            f"{len(seen) + 1} vertices, "
+                            f"limit {self.limits.max_vertices}"
+                        )
                     seen[k] = p
                     nxt.append(p)
             frontier = nxt

@@ -387,18 +387,6 @@ def rew(letter: str) -> Op:
     return Op("rew", letter=letter)
 
 
-def ops_for_order(n: int, alphabet) -> list[Op]:
-    """The operation set O_n, extended with order-1 push and collapse_k."""
-    out = [noop(), pop(1)]
-    letters = [a for a in alphabet if a != BOTTOM]
-    out += [rew(a) for a in letters]
-    out += [push(a, k) for a in letters for k in range(1, n + 1)]
-    out += [copy(k) for k in range(2, n + 1)]
-    out += [pop(k) for k in range(2, n + 1)]
-    out += [collapse(k) for k in range(1, n + 1)]
-    return out
-
-
 def apply_op(op: Op, w):
     """Apply ``op`` to a plain stack.
 

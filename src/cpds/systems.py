@@ -178,17 +178,6 @@ class Mcpds:
             if op.kind in ("copy",) and op.k < 2:
                 raise OrderMismatch("copy is defined for orders >= 2")
 
-    def all_rules(self):
-        for i, rs in enumerate(self.rule_sets):
-            for r in rs:
-                yield i, r
-
-    def rules_for(self, i):
-        return self.rule_sets[i]
-
-    def generating_rules(self):
-        return sorted(r for _i, r in self.all_rules() if not r.consuming)
-
     def with_mode(self, mode) -> "Mcpds":
         return Mcpds(self.order, self.alphabet, self.controls, self.rule_sets,
                      mode, self.ext_rule_sets)

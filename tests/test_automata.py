@@ -18,8 +18,9 @@ from cpds import (
 )
 from cpds.automata import bottom_automaton
 from cpds.oracle import enumerate_stacks
+from cpds.scopes import layered_seed
 
-from conftest import s1, s2
+from conftest import fix_sc, s1, s2
 
 
 def lf(head, letter, branch=(), targets=((), ())):
@@ -194,6 +195,9 @@ def test_json_roundtrip():
     b = StackAutomaton.from_json(doc)
     for w in enumerate_stacks(2, {"a", "b"}, 6):
         assert a.member("q", w) == b.member("q", w)
+    for aut in (a, layered_seed(fix_sc(), 3, "c5")):
+        back = StackAutomaton.from_json(json.loads(json.dumps(aut.to_json())))
+        assert back.controls == aut.controls and back.layers == aut.layers
 
 
 def test_dot_export_mentions_states():

@@ -139,14 +139,15 @@ def test_config_literal_parse_errors():
 def test_global_output_is_identical_across_hash_seeds():
     """Memo keys and iteration orders must not leak hash randomisation."""
     src = str(Path(__file__).parent.parent / "src")
-    outs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cpds.cli", "global",
-             str(FIX / "fix3.cpds"), "--to", "q7"],
-            capture_output=True, env=env, timeout=300, check=True)
-        outs.append(proc.stdout)
-    assert outs[0] and outs[0] == outs[1]
+    for name, target in (("fix3", "q7"), ("fixph", "p4"), ("fixsc", "c5")):
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cpds.cli", "global",
+                 str(FIX / f"{name}.cpds"), "--to", target],
+                capture_output=True, env=env, timeout=300, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] and outs[0] == outs[1], name

@@ -108,6 +108,21 @@ def test_pair_language_intermediate_not_materialised():
         assert not sat.long_forms_from(sat.require_control("m"))
 
 
+def test_prestar_keeps_extended_rules():
+    # prestar saturates with extended rules whenever the system has them
+    r1 = Rule("p", "a", ST.rew("b"), "m")
+    r2 = Rule("m", "b", ST.push("c", 2), "q")
+    lang = FiniteLanguage([[r1, r2]], "L2")
+    sys_ext = Cpds(2, {"a", "b", "c"}, ["p", "m", "q"], [],
+                   [ExtRule("p", "a", lang, "q")])
+    w_end = ST.apply_op(ST.push("c", 2), ST.apply_op(ST.rew("b"), s2(s1("a", "_"))))
+    a0 = exact_stack_automaton(2, {"a", "b", "c"}, {"q": [w_end]})
+    plain, _ = prestar(sys_ext, a0)
+    ext, _ = prestar_extended(sys_ext, a0)
+    assert plain.canonical_key() == ext.canonical_key()
+    assert plain.member("p", s2(s1("a", "_"))) and ext.member("p", s2(s1("a", "_")))
+
+
 def test_length_two_languages_against_step_oracle():
     checked = 0
     for seed in range(30):

@@ -1,3 +1,5 @@
+import pytest
+
 import cpds.stacks as ST
 from cpds import (
     BudgetExceeded,
@@ -70,6 +72,44 @@ def test_satstep_idempotent_at_fixpoint(fix1):
     none_src = ExplicitRules([], (), ["p"])
     _, added = satstep(none_src, a0)
     assert added == 0
+
+
+def test_iterated_satstep_reaches_prestar():
+    # prestar writes each pass back into its input; iterating satstep, which
+    # writes into a copy, must reach the same automaton in as many passes
+    for order in (2, 3):
+        for seed in range(12):
+            prof = RandomProfile(order=order, controls=3, letters=2, stacks=1, rules=7)
+            sysd = gen_random_system(seed, prof)
+            a0 = a0_bottom(order, sysd.alphabet, sysd.controls[-1])
+            sat, stats = prestar(sysd, a0)
+            src = ExplicitRules(sysd.rule_sets[0], (), sysd.controls)
+            a = a0.copy()
+            for c in src.seed_controls():
+                a.control_state(c)
+            steps, added = 0, None
+            while added != 0:
+                a, added = satstep(src, a, optimized=non_alternating_top(a0))
+                steps += 1
+            assert a.canonical_key() == sat.canonical_key(), (order, seed)
+            assert steps == stats.iterations, (order, seed)
+
+
+def test_explicit_rules_count_a_generator_once(fix2):
+    rules = fix2.rule_sets[0]
+    from_list = ExplicitRules(list(rules))
+    from_gen = ExplicitRules(r for r in rules)
+    assert from_gen.rule_count == from_list.rule_count == len(rules)
+    assert [from_gen.rules_into(c) for c in fix2.controls] == \
+        [from_list.rules_into(c) for c in fix2.controls]
+
+
+def test_saturation_cap_message_names_limit_and_count(fix2):
+    a0 = exact_stack_automaton(2, {"a", "b", "c"}, {"p3": [s2(s1("b"))]})
+    with pytest.raises(BudgetExceeded,
+                       match=r"^saturation transition cap exceeded: "
+                             r"\d+ transitions added, limit 1$"):
+        prestar(fix2, a0, max_transitions=1)
 
 
 def test_prestar_fix1(fix1):
