@@ -24,8 +24,12 @@ idempotent.
 Membership runs bottom-up over the (hash-consed) stack tree with
 memoisation, computing for every substack the full set of accepting states.
 Emptiness works over *sets* of states (joint acceptance), which is what the
-alternating semantics requires; a witness stack is reconstructed from the
-fixpoint's justification choices.
+alternating semantics requires.  It is a goal-directed Horn solve: a query
+explores only the subqueries reachable from it, and a subquery that becomes
+true re-evaluates only the queries that asked for it.  The answers and their
+justifications are kept for the rest of the automaton's revision, so later
+queries extend the same table; a witness stack is reconstructed from the
+justification choices.
 """
 
 from __future__ import annotations
@@ -155,6 +159,47 @@ def lf_key(t: LongForm) -> str:
     return t.key
 
 
+class _Options:
+    """Each state's transitions in the order the emptiness solver tries them.
+
+    Built per solve, and per state on first use; ``delta_high`` is grouped
+    by source in one pass per order.
+    """
+
+    def __init__(self, aut: "StackAutomaton"):
+        self.delta_high = aut.delta_high
+        self.delta1 = aut.delta1
+        self._by_source: dict = {}  # order -> source -> [(label, targets)]
+        self._high: dict = {}
+        self._low: dict = {}
+
+    def high(self, q: State) -> list:
+        """``(label, targets)`` out of an order >= 2 state, sorted."""
+        hit = self._high.get(q)
+        if hit is None:
+            groups = self._by_source.get(q.order)
+            if groups is None:
+                groups = self._by_source[q.order] = {}
+                for (src, targets), label in self.delta_high[q.order].items():
+                    groups.setdefault(src, []).append((label, targets))
+            hit = self._high[q] = sorted(
+                groups.get(q, ()), key=lambda p: (flat_key(p[0]), _set_key(p[1]))
+            )
+        return hit
+
+    def low(self, q: State) -> dict:
+        """``letter -> [(branch, targets)]`` out of an order-1 state, sorted."""
+        hit = self._low.get(q)
+        if hit is None:
+            hit = self._low[q] = {}
+            for letter, branch, targets in sorted(
+                self.delta1.get(q, ()),
+                key=lambda s: (s[0], _set_key(s[1]), _set_key(s[2])),
+            ):
+                hit.setdefault(letter, []).append((branch, targets))
+        return hit
+
+
 class StackAutomaton:
     """Mutable builder for an order-n stack automaton.
 
@@ -179,6 +224,7 @@ class StackAutomaton:
         self.revision = 0
         self._accept_memo = {}
         self._chain_memo = {}
+        self._emptiness = None
         StackAutomaton._uid_counter += 1
         self.uid = StackAutomaton._uid_counter
 
@@ -475,7 +521,7 @@ class StackAutomaton:
     # -- joint emptiness ---------------------------------------------------
 
     def nonempty(self, qs, order: int | None = None) -> bool:
-        return self._solve_nonempty().get(self._ne_query(qs, order), False)
+        return self._ne_solve(self._ne_query(qs, order))
 
     def _ne_query(self, qs, order):
         qs = frozenset(qs)
@@ -485,122 +531,125 @@ class StackAutomaton:
             order = next(iter(qs)).order
         return (order, qs)
 
-    def _solve_nonempty(self):
-        """Least fixpoint of joint nonemptiness over discovered queries.
+    def _ne_table(self):
+        """``(true, explored)`` of the current revision.
 
-        Restarted to stability; also records a justification per true query
-        for witness extraction.
+        ``true`` maps each query found nonempty to its justification;
+        every query in ``explored`` is at its least fixpoint.
         """
-        memo = getattr(self, "_ne_memo", None)
-        if memo is not None and self._ne_rev == self.revision:
-            return memo
-        value: dict = {}
-        just: dict = {}
-        seeds = [self._ne_query([s], None) for k in self.states for s in self.states[k]]
-        pending = dict.fromkeys(seeds)
-        while True:
-            changed = False
-            for query in list(pending):
-                if value.get(query):
-                    continue
-                ok, reason, new = self._ne_eval(query, value)
-                for q in new:
-                    if q not in pending:
-                        pending[q] = None
-                        changed = True
-                if ok:
-                    value[query] = True
-                    just[query] = reason
-                    changed = True
-            if not changed:
-                break
-        self._ne_memo = value
-        self._ne_just = just
-        self._ne_rev = self.revision
-        return value
+        t = self._emptiness
+        if t is None or t[0] != self.revision:
+            t = self._emptiness = (self.revision, {}, set())
+        return t[1], t[2]
 
-    def _ne_eval(self, query, value):
-        order, qs = query
-        new = []
-        if all(q in self.finals[order] for q in qs):
-            return True, ("empty",), new
-        if order >= 2:
-            options = []
-            for q in sorted_states(qs):
-                opts = sorted(self.high_from(q), key=lambda p: (state_key(p[0]), _set_key(p[1])))
-                if not opts:
-                    return False, None, new
-                options.append(opts)
-            for choice in product(*options):
-                labels = frozenset(l for l, _ in choice)
-                rest = frozenset().union(*[t for _, t in choice]) if choice else frozenset()
-                q1 = (order - 1, labels)
-                q2 = (order, rest)
-                for q in (q1, q2):
-                    if q not in value:
-                        new.append(q)
-                if value.get(q1) and value.get(q2):
-                    return True, ("step", choice, q1, q2), new
-            return False, None, new
-        # order 1: all chosen transitions must share a letter
-        per_letter = {}
-        for q in sorted_states(qs):
-            slots = sorted(
-                self.delta1_from(q),
-                key=lambda s: (s[0], _set_key(s[1]), _set_key(s[2])),
-            )
-            if not slots:
-                return False, None, new
-            for letter, branch, targets in slots:
-                per_letter.setdefault(letter, {q: [] for q in sorted_states(qs)})
-            for letter, branch, targets in slots:
-                per_letter[letter][q].append((branch, targets))
-        for letter in sorted(per_letter):
-            options = [per_letter[letter][q] for q in sorted_states(qs)]
-            if any(not o for o in options):
+    def _ne_solve(self, goal) -> bool:
+        """Least fixpoint of joint nonemptiness over the queries below ``goal``.
+
+        A worklist explores the subqueries reachable from ``goal``; a query
+        that becomes true re-queues only the queries that asked for it.  On
+        return every explored query is at its least fixpoint, so the table
+        keeps the answers (and the justification of each true query, for
+        witness extraction) for the rest of the revision.
+        """
+        true, explored = self._ne_table()
+        if goal in explored:
+            return goal in true
+        # queries join ``explored`` only when the solve completes, so an
+        # interrupted call leaves none marked as settled short of its fixpoint
+        reached = {goal}
+        waiting: dict = {}  # subquery -> queries whose evaluation it blocked
+        options = _Options(self)
+        work = [goal]
+        while work:
+            query = work.pop()
+            if query in true:
                 continue
-            for choice in product(*options):
-                branch = frozenset().union(*[b for b, _ in choice]) if choice else frozenset()
-                rest = frozenset().union(*[t for _, t in choice]) if choice else frozenset()
+            reason, blocked = self._ne_eval(query, true, options)
+            if reason is not None:
+                true[query] = reason
+                work.extend(waiting.pop(query, ()))
+                continue
+            for sub in blocked:
+                waiting.setdefault(sub, {})[query] = None
+                if sub not in reached and sub not in explored:
+                    reached.add(sub)
+                    work.append(sub)
+        explored |= reached
+        return goal in true
+
+    def _ne_eval(self, query, true: dict, options: _Options):
+        """Justify ``query`` from the current true set, first choice in order.
+
+        Returns ``(reason, blocked)``: the justification or None, and the
+        subqueries not yet true that the choices examined asked for.
+        """
+        order, qs = query
+        blocked = []
+        if all(q in self.finals[order] for q in qs):
+            return ("empty",), blocked
+        states = sorted(qs, key=flat_key)
+        if order >= 2:
+            per_state = []
+            for q in states:
+                opts = options.high(q)
+                if not opts:
+                    return None, blocked
+                per_state.append(opts)
+            for choice in product(*per_state):
+                q1 = (order - 1, frozenset(l for l, _ in choice))
+                q2 = (order, frozenset().union(*[tg for _, tg in choice]))
+                ok = True
+                for q in (q1, q2):
+                    if q not in true:
+                        blocked.append(q)
+                        ok = False
+                if ok:
+                    return ("step", q1, q2), blocked
+            return None, blocked
+        # order 1: all chosen transitions must share a letter
+        lows = [options.low(q) for q in states]
+        if not all(lows):
+            return None, blocked
+        for letter in sorted(set(lows[0]).intersection(*lows[1:])):
+            for choice in product(*[low[letter] for low in lows]):
+                branch = frozenset().union(*[b for b, _ in choice])
                 orders = {b.order for b in branch}
                 if len(orders) > 1:
                     continue
-                q2 = (1, rest)
+                q2 = (1, frozenset().union(*[tg for _, tg in choice]))
                 subqueries = [q2]
                 if branch:
-                    q1 = (next(iter(orders)), branch)
-                    subqueries.append(q1)
+                    subqueries.append((next(iter(orders)), branch))
                 ok = True
                 for q in subqueries:
-                    if q not in value:
-                        new.append(q)
-                    if not value.get(q):
+                    if q not in true:
+                        blocked.append(q)
                         ok = False
                 if ok:
-                    reason = ("char", letter, branch, q2)
-                    return True, reason, new
-        return False, None, new
+                    return ("char", letter, branch, q2), blocked
+        return None, blocked
 
     def witness(self, qs, order: int | None = None):
         """A stack jointly accepted from ``qs``; None when empty."""
         query = self._ne_query(qs, order)
-        if not self._solve_nonempty().get(query):
+        if not self._ne_solve(query):
             return None
-        return self._build_witness(query)
+        return self._build_witness(query, self._ne_table()[0])
 
-    def _build_witness(self, query):
+    def _build_witness(self, query, just):
         order, _qs = query
-        reason = self._ne_just[query]
+        reason = just[query]
         if reason[0] == "empty":
             return ST.mk_stack(order, ())
         if reason[0] == "step":
-            _, choice, q1, q2 = reason
-            head = self._build_witness(q1)
-            tail = self._build_witness(q2)
+            _, q1, q2 = reason
+            head = self._build_witness(q1, just)
+            tail = self._build_witness(q2, just)
             return ST.mk_stack(order, (head,) + tail.entries)
         _, letter, branch, q2 = reason
-        ann = self._build_witness((next(iter(branch)).order, branch)) if branch else None
-        tail = self._build_witness(q2)
+        ann = (self._build_witness((next(iter(branch)).order, branch), just)
+               if branch else None)
+        tail = self._build_witness(q2, just)
         return ST.mk_stack(1, (ST.mk_char(letter, ann),) + tail.entries)
 
     # -- invariants ---------------------------------------------------------

@@ -81,12 +81,11 @@ def ta_successors(gen_rules, t2: LongForm, aut: StackAutomaton,
 
 
 class TransitionAutomaton:
-    """On-the-fly view of ``T(aut, t, t')`` over a fixed rule alphabet."""
+    """On-the-fly view of ``T(aut, t, t')``; words label its runs."""
 
-    def __init__(self, aut: StackAutomaton, gen_rules, initial: LongForm,
+    def __init__(self, aut: StackAutomaton, initial: LongForm,
                  final: LongForm, layer: int | None = None):
         self.aut = aut
-        self.gen_rules = sorted(r for r in gen_rules if not r.consuming)
         self.initial = initial
         self.final = final
         self.layer = layer

@@ -96,7 +96,10 @@ class RegularConfigSet:
         )
 
     def is_empty(self) -> bool:
-        return self.witness() is None
+        return not any(
+            all(a.nonempty([s]) for a, s in zip(t.autos, t.initials))
+            for t in self.tuples
+        )
 
     def witness(self) -> Configuration | None:
         """Some member configuration, or None when the set is empty."""

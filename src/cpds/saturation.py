@@ -342,7 +342,10 @@ def prestar_eager(sys_or_rules, a0: StackAutomaton, *, optimized: bool | None = 
                     if aut.add_long_form(t):
                         total += 1
                         if total > cap:
-                            raise BudgetExceeded("eager saturation exceeded cap")
+                            raise BudgetExceeded(
+                                f"eager saturation transition cap exceeded: "
+                                f"{total} transitions added, limit {cap}"
+                            )
                         changed = True
     return aut
 

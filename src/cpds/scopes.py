@@ -94,7 +94,21 @@ def shift(a: StackAutomaton, window: int) -> StackAutomaton:
     Top-order states are renamed to their next layer; lower-order states
     keep their identity but inherit the shifted layer of their chains.
     Transitions from, into, or labelled by deleted states disappear.
+    Cached on ``a`` per revision and window; a cached result is returned
+    only while its own revision is the one it was built with.
     """
+    cached = getattr(a, "_shift_cache", None)
+    if cached is None or cached[0] != a.revision:
+        cached = a._shift_cache = (a.revision, {})
+    hit = cached[1].get(window)
+    if hit is not None and hit[0].revision == hit[1]:
+        return hit[0]
+    out = _shift(a, window)
+    cached[1][window] = (out, out.revision)
+    return out
+
+
+def _shift(a: StackAutomaton, window: int) -> StackAutomaton:
     out = StackAutomaton(a.order, a.alphabet)
     n = a.order
 

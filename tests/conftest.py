@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cpds import Mcpds, Rule, mk_char, mk_stack
@@ -25,6 +27,34 @@ def s1(*chars):
 
 def s2(*stacks):
     return mk_stack(2, tuple(stacks))
+
+
+def ask_in_shuffled_order(a, seed):
+    """Ask every singleton and same-order pair of states of ``a``, shuffled.
+
+    Each answer must equal the one a fresh copy gives when asked only that
+    query, and each positive query's witness must be accepted jointly.
+    Returns the number of positive and of negative answers.
+    """
+    queries = []
+    for k in sorted(a.states):
+        states = list(a.states[k])
+        queries += [[s] for s in states]
+        queries += [[s, t] for i, s in enumerate(states) for t in states[i + 1:]]
+    random.Random(seed).shuffle(queries)
+    revision = a.revision
+    counts = [0, 0]
+    for qs in queries:
+        got = a.nonempty(qs)
+        assert got == a.copy().nonempty(qs), qs
+        if got:
+            w = a.witness(qs)
+            assert all(a.accepts(s, w) for s in qs), (qs, w)
+        else:
+            assert a.witness(qs) is None, qs
+        counts[not got] += 1
+    assert a.revision == revision
+    return counts
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from cpds.automata import bottom_automaton
 from cpds.oracle import enumerate_stacks
 from cpds.scopes import layered_seed
 
-from conftest import fix_sc, s1, s2
+from conftest import ask_in_shuffled_order, fix_sc, s1, s2
 
 
 def lf(head, letter, branch=(), targets=((), ())):
@@ -153,6 +153,28 @@ def test_nonempty_agrees_with_enumeration():
                 if claimed:
                     w = a.witness([s])
                     assert a.accepts(s, w)
+
+
+def test_nonempty_answers_do_not_depend_on_query_order():
+    pool = enumerate_stacks(2, {"a"}, 8)
+    totals = [0, 0]
+    for seed in range(8):
+        rng2 = random.Random(seed)
+        a = exact_stack_automaton(2, {"a"}, {"q": rng2.sample(pool, 2)})
+        for i, n in enumerate(ask_in_shuffled_order(a, seed)):
+            totals[i] += n
+    assert all(totals), totals
+
+
+def test_nonempty_follows_revision():
+    a = StackAutomaton(1, {"a"})
+    q = a.add_state(State(1, ("q",)))
+    assert not a.nonempty([q]) and a.witness([q]) is None
+    before = a.revision
+    a.add_delta1(q, "a", [], [])
+    assert a.revision > before
+    assert a.nonempty([q])
+    assert a.witness([q]) == mk_stack(1, (mk_char("a"),))
 
 
 def test_union_intersect_membership_laws():

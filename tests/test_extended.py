@@ -51,11 +51,11 @@ def test_transition_automaton_accepts_words():
     r2 = Rule("m", "b", ST.rew("c"), "q")
     t_final = LongForm(a.peek_control("q"), "c", frozenset(), (frozenset(), frozenset()))
     t_init = LongForm(a.peek_control("p"), "a", frozenset(), (frozenset(), frozenset()))
-    ta = TransitionAutomaton(a, [r1, r2], t_init, t_final)
+    ta = TransitionAutomaton(a, t_init, t_final)
     assert ta.accepts([r1, r2])
     assert not ta.accepts([r2, r1])
     assert not ta.accepts([r1])
-    assert TransitionAutomaton(a, [r1, r2], t_final, t_final).accepts([])
+    assert TransitionAutomaton(a, t_final, t_final).accepts([])
 
 
 def test_singleton_language_equals_plain_rule():

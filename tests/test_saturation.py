@@ -112,6 +112,14 @@ def test_saturation_cap_message_names_limit_and_count(fix2):
         prestar(fix2, a0, max_transitions=1)
 
 
+def test_eager_saturation_cap_message_names_limit_and_count(fix2):
+    a0 = exact_stack_automaton(2, {"a", "b", "c"}, {"p3": [s2(s1("b"))]})
+    with pytest.raises(BudgetExceeded,
+                       match=r"^eager saturation transition cap exceeded: "
+                             r"\d+ transitions added, limit 1$"):
+        prestar_eager(fix2, a0, max_transitions=1)
+
+
 def test_prestar_fix1(fix1):
     a0 = a0_bottom(2, {"a"}, "q")
     sat, stats = prestar(fix1, a0)

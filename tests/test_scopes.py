@@ -1,5 +1,6 @@
 from cpds import (
     Configuration,
+    LongForm,
     Mcpds,
     Rule,
     bottom,
@@ -21,7 +22,7 @@ from cpds.oracle import (
 )
 from cpds.scopes import layered_seed, reachability_graph_dot, saturate_layer, surface
 
-from conftest import fix_sc
+from conftest import ask_in_shuffled_order, fix_sc
 
 
 WINDOW = 3  # scope bound 2 keeps three layers
@@ -84,6 +85,39 @@ def test_predecessor_composition_matches_hand_expansion():
     viaop = predecessor(0, sysd, sat, WINDOW, "c2", "c4")
     assert byhand.canonical_key() == viaop.canonical_key()
     byhand.check_invariants(layered=True)
+
+
+def test_shift_is_cached_per_revision():
+    sysd = fix_sc()
+    a = saturate_layer(0, sysd, layered_seed(sysd, WINDOW, "c5"))
+    first = shift(a, WINDOW)
+    assert shift(a, WINDOW) is first
+    assert first.canonical_key() == shift(a.copy(), WINDOW).canonical_key()
+    # a caller writing into the result does not leak into the next call
+    first.add_long_form(LongForm(first.control_state("c0", 1), "a",
+                                 frozenset(), (frozenset(), frozenset())))
+    again = shift(a, WINDOW)
+    assert again is not first
+    assert again.canonical_key() == shift(a.copy(), WINDOW).canonical_key()
+    assert again.canonical_key() != first.canonical_key()
+    # a new revision of the input is shifted afresh
+    a.add_long_form(LongForm(a.control_state("c1", 1), "b",
+                             frozenset(), (frozenset(), frozenset())))
+    assert shift(a, WINDOW).canonical_key() == shift(a.copy(), WINDOW).canonical_key()
+    assert shift(a, WINDOW).canonical_key() != again.canonical_key()
+
+
+def test_nonempty_on_layered_automata_does_not_depend_on_query_order():
+    sysd = fix_sc()
+    autos = [a for v in initial_vertices(sysd, 2, "c5") for a in v.autos][:4]
+    autos += [predecessor(j, sysd, a, WINDOW, q_end, q_next)
+              for j, a in enumerate(autos[:2])
+              for q_end, q_next in (("c2", "c4"), ("c1", "c2"), ("c3", "c3"))]
+    totals = [0, 0]
+    for seed, a in enumerate(autos):
+        for i, n in enumerate(ask_in_shuffled_order(a, seed)):
+            totals[i] += n
+    assert all(totals), totals
 
 
 def test_initial_vertices_admissibility():
