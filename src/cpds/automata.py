@@ -55,7 +55,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class State:
-    """An automaton state; ``name`` is a structured, sortable identifier."""
+    """An automaton state; ``name`` is a structured, sortable identifier.
+
+    ``name_key``, the :func:`flat_key` of the name, is computed on first use
+    and then kept on the state.
+    """
 
     order: int
     name: tuple
@@ -65,6 +69,19 @@ class State:
 
     def __hash__(self):
         return self._h
+
+    # Shadowed per instance on first use.  Neither a __getattr__ hook nor a
+    # write through __dict__: either would slow every later attribute read
+    # on states, __hash__'s too.
+    _name_key = None
+
+    @property
+    def name_key(self) -> str:
+        key = self._name_key
+        if key is None:
+            key = flat_key(self.name)
+            object.__setattr__(self, "_name_key", key)
+        return key
 
     def __repr__(self):
         return f"S{self.order}:" + ".".join(str(p) for p in self.name)
@@ -78,7 +95,7 @@ def flat_key(x) -> str:
     if isinstance(x, State):
         hit = _KEY_MEMO.get(x)
         if hit is None:
-            hit = _KEY_MEMO[x] = f"S{x.order:03d}({flat_key(x.name)})"
+            hit = _KEY_MEMO[x] = f"S{x.order:03d}({x.name_key})"
         return hit
     if isinstance(x, LongForm):
         return x.key
@@ -96,7 +113,7 @@ def flat_key(x) -> str:
 
 
 def state_key(s: State) -> tuple:
-    return (s.order, flat_key(s.name))
+    return (s.order, s.name_key)
 
 
 def _set_key(qs) -> str:
@@ -727,22 +744,22 @@ class StackAutomaton:
         for k in range(self.order, 0, -1):
             for s in self.states[k]:
                 if s.name and s.name[0] != "m":
-                    canon[s] = flat_key(s.name)
+                    canon[s] = s.name_key
         for k in range(self.order, 1, -1):
             items = sorted(
                 self.delta_high[k].items(),
-                key=lambda kv: (canon.get(kv[0][0], flat_key(kv[0][0].name)),
+                key=lambda kv: (canon.get(kv[0][0], kv[0][0].name_key),
                                 _set_key(kv[0][1])),
             )
             for (src, targets), label in items:
                 sig = "L[{}|{}]".format(
-                    canon.get(src, flat_key(src.name)),
-                    ",".join(sorted(canon.get(t, flat_key(t.name)) for t in targets)),
+                    canon.get(src, src.name_key),
+                    ",".join(sorted(canon.get(t, t.name_key) for t in targets)),
                 )
                 if label not in canon or sig < canon[label]:
                     canon[label] = sig
         def cn(s):
-            return canon.get(s, flat_key(s.name))
+            return canon.get(s, s.name_key)
         high = []
         for k in range(2, self.order + 1):
             for (src, targets), label in self.delta_high[k].items():
@@ -761,29 +778,26 @@ class StackAutomaton:
         ]
         ctl = tuple(sorted((flat_key(c), cn(s)) for c, s in self.controls.items()))
         lctl = tuple(sorted((flat_key(c), cn(s)) for c, s in self.layer_controls.items()))
-        lay = tuple(sorted((cn(s), l) for s, l in self.layers.items() if self._used(s)))
+        lay = ()
+        if self.layers:
+            # a layer counts only on a state that something else mentions
+            used = {*self.controls.values(), *self.layer_controls.values()}
+            for k in range(1, self.order + 1):
+                used.update(self.finals[k])
+            for k in range(2, self.order + 1):
+                for (src, targets), label in self.delta_high[k].items():
+                    used.add(src)
+                    used.add(label)
+                    used.update(targets)
+            for src, slots in self.delta1.items():
+                used.add(src)
+                for (_l, branch, targets) in slots:
+                    used.update(branch)
+                    used.update(targets)
+            lay = tuple(sorted((cn(s), l) for s, l in self.layers.items() if s in used))
         out = (tuple(sorted(high)), tuple(sorted(low)), tuple(fin), ctl, lctl, lay)
         self._canon_cache = (self.revision, out)
         return out
-
-    def _used(self, s: State) -> bool:
-        if (
-            s in self.controls.values()
-            or s in self.layer_controls.values()
-            or s in self.finals[s.order]
-        ):
-            return True
-        for k in range(2, self.order + 1):
-            for (src, targets), label in self.delta_high[k].items():
-                if s == src or s == label or s in targets:
-                    return True
-        for src, slots in self.delta1.items():
-            if s == src:
-                return True
-            for (_l, branch, targets) in slots:
-                if s in branch or s in targets:
-                    return True
-        return False
 
     def pruned(self) -> "StackAutomaton":
         """Copy without structure unreachable from the top-order states.
@@ -884,8 +898,15 @@ class StackAutomaton:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
+        """The automaton as JSON data; each state's entry is one tuple,
+        built once per call and repeated wherever the state occurs."""
+        entries = {}
+
         def st(s):
-            return [s.order, list(_jsonable(s.name))]
+            e = entries.get(s)
+            if e is None:
+                e = entries[s] = (s.order, _jsonable(s.name))
+            return e
         return {
             "order": self.order,
             "alphabet": sorted(self.alphabet),
@@ -947,18 +968,21 @@ class StackAutomaton:
 
 
 def _jsonable(x):
+    """JSON data for a name or control, with immutable tuples for arrays."""
     if isinstance(x, tuple):
-        return ["t"] + [_jsonable(p) for p in x]
+        return ("t", *map(_jsonable, x))
     if isinstance(x, LongForm):
         # serialised sets only need a stable token, not the live object
-        return ["lf", x.key]
+        return ("lf", x.key)
     if x is None or isinstance(x, (str, int, bool)):
         return x
-    return ["r", repr(x)]
+    return ("r", repr(x))
 
 
 def _unjsonable(x):
-    if isinstance(x, list):
+    """Inverse of :func:`_jsonable`; arrays may be lists (parsed text) or
+    tuples (``to_json`` output)."""
+    if isinstance(x, (list, tuple)):
         if x and x[0] == "t":
             return tuple(_unjsonable(p) for p in x[1:])
         return tuple(x)

@@ -313,7 +313,7 @@ def cmd_selftest(args) -> int:
             print(f"divergence at seed {s}", file=sys.stderr)
             if args.report:
                 with open(args.report, "w", encoding="utf-8") as fh:
-                    fh.write(json.dumps(detail, indent=2, sort_keys=True) + "\n")
+                    fh.write(dump_document(detail))
             return 1
     print(f"selftest passed over {len(seeds)} seeds")
     return 0

@@ -30,7 +30,7 @@ class RegTuple:
         return (
             AU.flat_key(self.control),
             tuple(
-                (a.canonical_key(), AU.flat_key(s.name))
+                (a.canonical_key(), s.name_key)
                 for a, s in zip(self.autos, self.initials)
             ),
         )
@@ -118,14 +118,20 @@ class RegularConfigSet:
         return sorted({t.control for t in self.tuples}, key=AU.flat_key)
 
     def to_json(self) -> dict:
+        # tuples often share an automaton: encode each (uid, revision) once
+        autos = {}
+        for t in self.tuples:
+            for a in t.autos:
+                if (a.uid, a.revision) not in autos:
+                    autos[a.uid, a.revision] = a.to_json()
         return {
             "order": self.order,
             "stacks": self.stacks,
             "tuples": [
                 {
                     "control": AU._jsonable(t.control),
-                    "autos": [a.to_json() for a in t.autos],
-                    "initials": [[s.order, AU._jsonable(s.name)] for s in t.initials],
+                    "autos": [autos[a.uid, a.revision] for a in t.autos],
+                    "initials": [(s.order, AU._jsonable(s.name)) for s in t.initials],
                 }
                 for t in self.tuples
             ],

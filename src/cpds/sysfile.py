@@ -23,13 +23,14 @@ The system file is line-based and greppable::
 Operations are spelled ``pop K``, ``copy K``, ``collapse K``,
 ``push B K``, ``rew B`` and ``noop``; the bottom symbol is ``_``.  Stacks
 in ``target`` lines and configuration literals use the bracket encoding of
-the stacks module.  Result documents are JSON with a pinned schema.
+the stacks module.  Result documents are JSON with a pinned schema,
+written by :func:`dump_document`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import stacks as ST
 from .errors import ParseError
@@ -248,5 +249,100 @@ def result_document(command: str, verdict: str, statistics: dict,
     return doc
 
 
-def dump_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _plain(t: tuple) -> bool:
+    """Every leaf is a str or an int.
+
+    Equal plain tuples have the same JSON text; ``(1,)``, ``(True,)`` and
+    ``(1.0,)`` are equal but are written differently.
+    """
+    for x in t:
+        k = type(x)
+        if k is not str and k is not int and not (k is tuple and _plain(x)):
+            return False
+    return True
+
+
+def dump_document(doc) -> str:
+    """The JSON text of ``doc`` with sorted keys, two-space indentation and
+    a final newline: byte for byte what the stdlib encoder writes with
+    ``indent=2, sort_keys=True``.
+
+    A document holds dicts with str keys, lists, tuples, str, int, bool,
+    None and float; a value of any other type, subclasses included, raises
+    ``TypeError``.  Containers are joined with precomputed line breaks
+    instead of going through json's generator encoder, and the text of
+    each plain tuple (see :func:`_plain`) is kept per depth for the length
+    of the call, so a state entry that ``to_json`` repeats is written once.
+    """
+    breaks = ["\n"]  # per depth: line break and indentation
+    memos = [{}]  # per depth: plain tuple -> (tuple, text)
+
+    def indent(depth):
+        while depth >= len(breaks):
+            breaks.append(breaks[-1] + "  ")
+            memos.append({})
+        return breaks[depth]
+
+    def items(x, depth):
+        if not x:
+            return "[]"
+        sep = indent(depth + 1)
+        return "[" + sep + ("," + sep).join(
+            [_quote(v) if type(v) is str else text(v, depth + 1) for v in x]
+        ) + breaks[depth] + "]"
+
+    def members(x, depth):
+        if not x:
+            return "{}"
+        sep = indent(depth + 1)
+        return "{" + sep + ("," + sep).join(
+            [_quote(k) + ": " + text(v, depth + 1) for k, v in sorted(x.items())]
+        ) + breaks[depth] + "}"
+
+    def text(x, depth):
+        k = type(x)
+        if k is tuple:
+            memo = memos[depth]
+            try:
+                hit = memo.get(x)
+            except TypeError:  # holds a list or a dict
+                return items(x, depth)
+            # a hit is the text of an equal plain tuple
+            if hit is not None and (hit[0] is x or _plain(x)):
+                return hit[1]
+            out = items(x, depth)
+            if hit is None and _plain(x):
+                memo[x] = (x, out)
+            return out
+        if k is list:
+            return items(x, depth)
+        if k is str:
+            return _quote(x)
+        if k is dict:
+            return members(x, depth)
+        if k is int:
+            return int.__repr__(x)
+        if x is None:
+            return "null"
+        if x is True:
+            return "true"
+        if x is False:
+            return "false"
+        if k is float:
+            return _float_text(x)
+        raise TypeError(f"Object of type {k.__name__} is not JSON serializable")
+
+    return text(doc, 0) + "\n"

@@ -218,8 +218,11 @@ def test_json_roundtrip():
     for w in enumerate_stacks(2, {"a", "b"}, 6):
         assert a.member("q", w) == b.member("q", w)
     for aut in (a, layered_seed(fix_sc(), 3, "c5")):
-        back = StackAutomaton.from_json(json.loads(json.dumps(aut.to_json())))
-        assert back.controls == aut.controls and back.layers == aut.layers
+        # through text, and straight from to_json's tuples
+        for doc in (json.loads(json.dumps(aut.to_json())), aut.to_json()):
+            back = StackAutomaton.from_json(doc)
+            assert back.controls == aut.controls and back.layers == aut.layers
+            assert back.to_json() == aut.to_json()
 
 
 def test_dot_export_mentions_states():

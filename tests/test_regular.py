@@ -110,9 +110,10 @@ def test_json_roundtrip_member_agrees():
     rng = random.Random(31)
     pool = enumerate_stacks(2, {"a", "b"}, 6)
     s = _random_set(rng, pool, ["p", "q"])
-    doc = json.loads(json.dumps(s.to_json()))
-    back = RegularConfigSet.from_json(doc)
-    for _ in range(100):
-        cfg = Configuration(rng.choice(["p", "q"]),
-                            (rng.choice(pool), rng.choice(pool)))
-        assert s.member(cfg) == back.member(cfg)
+    # through text, and straight from to_json's tuples
+    for doc in (json.loads(json.dumps(s.to_json())), s.to_json()):
+        back = RegularConfigSet.from_json(doc)
+        for _ in range(100):
+            cfg = Configuration(rng.choice(["p", "q"]),
+                                (rng.choice(pool), rng.choice(pool)))
+            assert s.member(cfg) == back.member(cfg)
