@@ -90,7 +90,6 @@ from .extended import (
     FiniteLanguage,
     TransitionAutomaton,
     prestar_extended,
-    ta_successors,
 )
 from .ordered import (
     CpdaLang,

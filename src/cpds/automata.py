@@ -57,8 +57,9 @@ __all__ = [
 class State:
     """An automaton state; ``name`` is a structured, sortable identifier.
 
-    ``name_key``, the :func:`flat_key` of the name, is computed on first use
-    and then kept on the state.
+    ``name_key``, the :func:`flat_key` of the name, and ``key``, the
+    :func:`flat_key` of the state, are computed on first use and then kept
+    on the state.
     """
 
     order: int
@@ -74,6 +75,7 @@ class State:
     # write through __dict__: either would slow every later attribute read
     # on states, __hash__'s too.
     _name_key = None
+    _key = None
 
     @property
     def name_key(self) -> str:
@@ -83,21 +85,21 @@ class State:
             object.__setattr__(self, "_name_key", key)
         return key
 
+    @property
+    def key(self) -> str:
+        key = self._key
+        if key is None:
+            key = f"S{self.order:03d}({self.name_key})"
+            object.__setattr__(self, "_key", key)
+        return key
+
     def __repr__(self):
         return f"S{self.order}:" + ".".join(str(p) for p in self.name)
 
 
-_KEY_MEMO: dict = {}
-
-
 def flat_key(x) -> str:
     """Deterministic total order key for mixed structured values."""
-    if isinstance(x, State):
-        hit = _KEY_MEMO.get(x)
-        if hit is None:
-            hit = _KEY_MEMO[x] = f"S{x.order:03d}({x.name_key})"
-        return hit
-    if isinstance(x, LongForm):
+    if isinstance(x, (State, LongForm)):
         return x.key
     if isinstance(x, bool):
         return f"b{int(x)}"
@@ -106,9 +108,9 @@ def flat_key(x) -> str:
     if isinstance(x, str):
         return "s" + x
     if isinstance(x, (tuple, list)):
-        return "(" + ",".join(flat_key(p) for p in x) + ")"
+        return "(" + ",".join([flat_key(p) for p in x]) + ")"
     if isinstance(x, frozenset):
-        return "{" + ",".join(sorted(flat_key(p) for p in x)) + "}"
+        return "{" + ",".join(sorted([flat_key(p) for p in x])) + "}"
     return "r" + repr(x)
 
 
@@ -117,7 +119,7 @@ def state_key(s: State) -> tuple:
 
 
 def _set_key(qs) -> str:
-    return "{" + ",".join(sorted(flat_key(q) for q in qs)) + "}"
+    return "{" + ",".join(sorted(q.key for q in qs)) + "}"
 
 
 def sorted_states(qs):
@@ -144,17 +146,20 @@ class LongForm:
     def __hash__(self):
         return self._h
 
+    _key = None  # shadowed per instance on first use, as on State
+
     @property
     def key(self) -> str:
-        hit = _KEY_MEMO.get(self)
-        if hit is None:
-            hit = _KEY_MEMO[self] = "T[{};{};{};{}]".format(
-                flat_key(self.head),
+        key = self._key
+        if key is None:
+            key = "T[{};{};{};{}]".format(
+                self.head.key,
                 self.letter,
                 _set_key(self.branch),
                 ";".join(_set_key(s) for s in self.targets),
             )
-        return hit
+            object.__setattr__(self, "_key", key)
+        return key
 
     @property
     def order(self) -> int:
@@ -200,7 +205,7 @@ class _Options:
                 for (src, targets), label in self.delta_high[q.order].items():
                     groups.setdefault(src, []).append((label, targets))
             hit = self._high[q] = sorted(
-                groups.get(q, ()), key=lambda p: (flat_key(p[0]), _set_key(p[1]))
+                groups.get(q, ()), key=lambda p: (p[0].key, _set_key(p[1]))
             )
         return hit
 
@@ -242,6 +247,7 @@ class StackAutomaton:
         self._accept_memo = {}
         self._chain_memo = {}
         self._emptiness = None
+        self._unregistered = {}  # control key -> state, see peek_control
         StackAutomaton._uid_counter += 1
         self.uid = StackAutomaton._uid_counter
 
@@ -291,22 +297,25 @@ class StackAutomaton:
         key = control if layer is None else (control, layer)
         s = table.get(key)
         if s is None:
-            name = ("q", control) if layer is None else ("q", control, layer)
-            s = State(self.order, name)
+            s = self.peek_control(control, layer)
             self.add_state(s, layer=layer)
             table[key] = s
             self._touch()
         return s
 
     def peek_control(self, control, layer: int | None = None) -> State:
-        """The state a control resolves to, without registering anything."""
+        """The state a control resolves to, without registering anything.
+
+        An unregistered control resolves to one state object per automaton,
+        so that its sort keys are computed once.
+        """
         table = self.controls if layer is None else self.layer_controls
         key = control if layer is None else (control, layer)
-        s = table.get(key)
-        if s is not None:
-            return s
-        name = ("q", control) if layer is None else ("q", control, layer)
-        return State(self.order, name)
+        s = table.get(key) or self._unregistered.get(key)
+        if s is None:
+            name = ("q", control) if layer is None else ("q", control, layer)
+            s = self._unregistered[key] = State(self.order, name)
+        return s
 
     def remap_control(self, control, state: State, layer: int | None = None):
         """Point a control at a (fresh) state; used by staged constructions."""
@@ -392,6 +401,17 @@ class StackAutomaton:
         for k in range(self.order, 1, -1):
             cur = self.add_high_transition(cur, t.targets[k - 1])
         return self.add_delta1(cur, t.letter, t.branch, t.targets[0])
+
+    def has_long_form(self, t: LongForm) -> bool:
+        """Would :meth:`add_long_form` change nothing?  Mutates nothing."""
+        cur = t.head
+        if cur not in self.states[self.order]:
+            return False
+        for k in range(self.order, 1, -1):
+            cur = self.delta_high[k].get((cur, t.targets[k - 1]))
+            if cur is None:
+                return False
+        return (t.letter, t.branch, t.targets[0]) in self.delta1.get(cur, ())
 
     # -- chain enumeration -------------------------------------------------
 

@@ -50,8 +50,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cpds", description="collapsible pushdown system reachability"
     )
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel independent sub-solves (selftest seeds)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide control-state reachability")
@@ -293,29 +291,15 @@ def _selftest_seed(seed: int, inject: bool):
 
 
 def cmd_selftest(args) -> int:
-    jobs = max(1, getattr(args, "jobs", 1))
-    seeds = list(range(args.seeds))
-    results = {}
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futs = {s: pool.submit(_selftest_seed, s, args.inject_fault and s == 0)
-                    for s in seeds}
-            for s in seeds:
-                results[s] = futs[s].result()
-    else:
-        for s in seeds:
-            results[s] = _selftest_seed(s, args.inject_fault and s == 0)
-    for s in seeds:
-        ok, detail = results[s]
+    for s in range(args.seeds):
+        ok, detail = _selftest_seed(s, args.inject_fault and s == 0)
         if not ok:
             print(f"divergence at seed {s}", file=sys.stderr)
             if args.report:
                 with open(args.report, "w", encoding="utf-8") as fh:
                     fh.write(dump_document(detail))
             return 1
-    print(f"selftest passed over {len(seeds)} seeds")
+    print(f"selftest passed over {args.seeds} seeds")
     return 0
 
 

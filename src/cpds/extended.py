@@ -14,32 +14,14 @@ word-by-word decision procedure walks.
 
 from __future__ import annotations
 
-import os
-
 from .automata import LongForm, StackAutomaton
 from .errors import LanguageQueryFailure
 from .saturation import auxsat_generating, prestar
 from .systems import Mcpds, Rule
 
-
-def memo_limit() -> int:
-    """Entry cap for language-query memo tables (``CPDS_MEMO_LIMIT``)."""
-    try:
-        return max(int(os.environ.get("CPDS_MEMO_LIMIT", "100000")), 16)
-    except ValueError:
-        return 100000
-
-
-def memo_put(memo: dict, key, value):
-    if len(memo) >= memo_limit():
-        memo.clear()
-    memo[key] = value
-    return value
-
 __all__ = [
     "state_control",
     "ta_predecessors",
-    "ta_successors",
     "TransitionAutomaton",
     "FiniteLanguage",
     "prestar_extended",
@@ -61,23 +43,6 @@ def ta_predecessors(rule: Rule, t2: LongForm, aut: StackAutomaton,
     if t2.head != aut.peek_control(rule.dst, layer):
         return []
     return auxsat_generating(rule, t2, aut, layer)
-
-
-def ta_successors(gen_rules, t2: LongForm, aut: StackAutomaton,
-                  layer: int | None = None):
-    """Lazily enumerate the edges into ``t2``: pairs ``(rule, t1)``.
-
-    ``gen_rules`` is any iterable of rules; consuming rules never label
-    edges.  The copy and push cases consult the existing transitions of
-    ``aut`` exactly as the auxiliary saturation function does.
-    """
-    out = []
-    for r in gen_rules:
-        if r.consuming:
-            continue
-        for t1 in ta_predecessors(r, t2, aut, layer):
-            out.append((r, t1))
-    return out
 
 
 class TransitionAutomaton:
@@ -127,7 +92,6 @@ class FiniteLanguage:
                     raise LanguageQueryFailure(f"{name}: word does not chain")
             self._words.append(w)
         self._words.sort(key=lambda w: [repr(r) for r in w])
-        self._memo = {}
 
     def __repr__(self):
         return self.name
@@ -138,10 +102,6 @@ class FiniteLanguage:
     def initials(self, aut: StackAutomaton, t2: LongForm,
                  layer: int | None = None):
         """All ``t`` with a word of this language running from t to ``t2``."""
-        key = (aut.uid, aut.revision, t2.key, layer)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
         found = {}
         for word in self._words:
             frontier = {t2.key: t2}
@@ -157,8 +117,7 @@ class FiniteLanguage:
                     break
             if ok:
                 found.update(frontier)
-        out = [found[k] for k in sorted(found)]
-        return memo_put(self._memo, key, out)
+        return [found[k] for k in sorted(found)]
 
 
 def prestar_extended(sys: Mcpds, a0: StackAutomaton, **kw):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from . import stacks as ST
 from .automata import LongForm, StackAutomaton, flat_key, lf_key
 from .errors import BudgetExceeded, NotNormalized, RecursionDepthExceeded
-from .extended import memo_put, prestar_extended, state_control, ta_predecessors
+from .extended import prestar_extended, state_control, ta_predecessors
 from .regular import RegTuple, RegularConfigSet
 from .saturation import prestar
 from .stacks import BOTTOM
@@ -255,7 +255,6 @@ class CpdaLang:
         self.left = left
         self.prefix = prefix
         self.q1, self.a, self.q2, self.b, self.i = q1, a, q2, b, i
-        self._memo = {}
 
     def __repr__(self):
         return f"L[{self.q1},{self.a}->{self.q2};push {self.b}@{self.i + 1}]"
@@ -265,20 +264,12 @@ class CpdaLang:
 
         raise LanguageQueryFailure("segment languages are not enumerable")
 
-    def _batch(self, aut: StackAutomaton, t2: LongForm):
-        key = (aut.uid, aut.revision, t2.key)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if state_control(t2.head) != self.q2:
-            return memo_put(self._memo, key, [])
-        valid = self.solver.langcheck_batch(self.left, aut, self.q1, self.a, t2,
-                                            self.b, self.i)
-        return memo_put(self._memo, key, valid)
-
     def initials(self, aut: StackAutomaton, t2: LongForm, layer=None):
+        if state_control(t2.head) != self.q2:
+            return []
         out = {}
-        for x in self._batch(aut, t2):
+        for x in self.solver.langcheck_batch(self.left, aut, self.q1, self.a,
+                                             t2, self.b, self.i):
             for t in ta_predecessors(self.prefix, x, aut):
                 out[t.key] = t
         return [out[k] for k in sorted(out)]
@@ -360,8 +351,9 @@ class OrderedSolver:
                             [target], self.limits.max_product_controls)
         if sysm.stacks > 1:
             sysm = normalize_ordered(sysm)
-        gset = self.empty_global(sysm, target, depth=left.stacks)
-        return memo_put(left.gset_memo, key, gset)
+        gset = left.gset_memo[key] = self.empty_global(sysm, target,
+                                                       depth=left.stacks)
+        return gset
 
     def langcheck_batch(self, left: LeftCpda, aut: StackAutomaton, q1, a,
                         tprime: LongForm, push_letter: str, stack_index: int):

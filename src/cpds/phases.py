@@ -242,7 +242,6 @@ class _PhaseSolver:
     def solve(self, q_in, q_out, want_global: bool):
         """Iterate plans; for reachability stop at the first witness."""
         m = self.sys.stacks
-        controls = list(self.sys.controls)
         results = RegularConfigSet(self.sys.order, m)
         found = False
         for plan in self._plans(q_in, q_out):

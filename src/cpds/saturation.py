@@ -10,10 +10,11 @@ transition of the head control, possibly merging in set-form transitions
 
 One saturation pass gathers every candidate a step derives from its input
 automaton (plain rules and, when the rule source has them, extended rules),
-then inserts them in ``lf_key`` order.  :func:`satstep` writes the pass
-into a copy, so iterating it reproduces the A_{i+1} = step(A_i) sequence;
-:func:`prestar` writes it back into its input until a pass adds nothing,
-which reaches the same fixpoint without the copies.
+drops those whose insertion would change nothing, then inserts the rest in
+``lf_key`` order.  :func:`satstep` writes the pass into a copy, so
+iterating it reproduces the A_{i+1} = step(A_i) sequence; :func:`prestar`
+writes it back into its input until a pass adds nothing, which reaches the
+same fixpoint without the copies.
 
 Additions are restricted to top-order target sets of size at most one
 whenever the initial automaton is non-alternating at the top order, which
@@ -249,10 +250,15 @@ def _saturation_pass(source, read: StackAutomaton, write: StackAutomaton, *,
                     for t in er.lang.initials(read, t2):
                         if t.head == src and t.letter == er.letter:
                             cand.append((er.src, er.dst, t))
+    # A candidate the optimised mode forbids, or one already in ``write``
+    # with both its controls registered there, would change nothing; it is
+    # dropped before it is keyed.
+    cand = [c for c in cand
+            if not (optimized and len(c[2].targets[-1]) > 1)
+            and not (write.has_long_form(c[2]) and write.has_control(c[0], layer)
+                     and write.has_control(c[1], layer))]
     added = 0
     for src_c, dst_c, t in sorted(cand, key=lambda c: lf_key(c[2])):
-        if optimized and len(t.targets[-1]) > 1:
-            continue
         write.control_state(src_c, layer)
         write.control_state(dst_c, layer)
         if write.add_long_form(t):

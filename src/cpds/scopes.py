@@ -304,13 +304,15 @@ def initial_vertices(sys: Mcpds, zeta: int, q_out,
 
 class _Graph:
     def __init__(self, sys: Mcpds, zeta: int, limits: ScopeLimits):
+        if zeta < 1:
+            raise NotSupported("the scope solver needs a bound of at least 1; "
+                               "only the run validator handles a zero bound")
         self.sys = sys
         self.zeta = zeta
         self.window = zeta + 1
         self.limits = limits
         self.bound = sbmax(zeta, len(sys.controls), sys.order)
         self.pred_memo = {}
-        self.stats = {"vertices": 0, "edges": 0}
 
     def predecessors(self, v: ReachVertex):
         """Source vertices of edges into ``v`` (one round earlier)."""
@@ -368,7 +370,6 @@ class _Graph:
                     seen[k] = p
                     nxt.append(p)
             frontier = nxt
-        self.stats["vertices"] = len(seen)
         return hit, results
 
     def _accepts_empty(self, v: ReachVertex, q_in) -> bool:
@@ -388,9 +389,6 @@ def scope_reachability(sys: Mcpds, zeta: int, q_in, q_out,
     """Is ``q_out`` reachable from all-empty at ``q_in`` under scope zeta?"""
     if q_in == q_out:
         return True
-    if zeta < 1:
-        raise NotSupported("the scope solver needs a bound of at least 1; "
-                           "only the run validator handles a zero bound")
     g = _Graph(sys, zeta, limits or ScopeLimits())
     hit, _ = g.search(q_in, q_out, want_global=False)
     return hit

@@ -55,23 +55,23 @@ class Rule:
         return f"({self.src} {self.letter} {self.op!r} {self.dst})"
 
     def __lt__(self, other):
-        return rule_key(self) < rule_key(other)
+        return self.key < other.key
+
+    _key = None  # shadowed per instance on first use, as on State
+
+    @property
+    def key(self) -> str:
+        key = self._key
+        if key is None:
+            from .automata import flat_key
+
+            key = flat_key((self.src, self.letter, repr(self.op), self.dst))
+            object.__setattr__(self, "_key", key)
+        return key
 
     @property
     def consuming(self) -> bool:
         return self.op.consuming
-
-
-_RULE_KEYS: dict = {}
-
-
-def rule_key(r) -> str:
-    hit = _RULE_KEYS.get(r)
-    if hit is None:
-        from .automata import flat_key
-
-        hit = _RULE_KEYS[r] = flat_key((r.src, r.letter, repr(r.op), r.dst))
-    return hit
 
 
 @dataclass(frozen=True)

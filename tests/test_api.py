@@ -2,10 +2,13 @@
 
 import ast
 import importlib
+import io
 import pkgutil
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import cpds
+from cpds import cli
 
 TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
@@ -33,3 +36,36 @@ def test_traced_callables_exist():
     for mod, cls, meth in tables["METHODS"]:
         klass = getattr(importlib.import_module(f"cpds.{mod}"), cls)
         assert meth in vars(klass), (mod, cls, meth)
+
+
+def _container_sizes():
+    """Size of every module- and class-level dict, list and set in ``cpds``."""
+    sizes = {}
+    for info in pkgutil.iter_modules(cpds.__path__):
+        module = importlib.import_module(f"cpds.{info.name}")
+        owners = [(module.__name__, vars(module))]
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                owners.append((f"{module.__name__}.{name}", vars(obj)))
+        for prefix, table in owners:
+            for name, obj in table.items():
+                if isinstance(obj, (dict, list, set)):
+                    sizes[f"{prefix}.{name}"] = len(obj)
+    return sizes
+
+
+def test_solvers_leave_module_tables_alone():
+    # stack interning is the one process-wide table a solve may grow
+    fixtures = Path(__file__).parent / "fixtures"
+    before = _container_sizes()
+    for argv in (["global", "fix3.cpds", "--to", "q7"],
+                 ["global", "fixph.cpds", "--to", "p4"],
+                 ["global", "fixsc.cpds", "--to", "c5"],
+                 ["check", "fix2.cpds"]):
+        argv[1] = str(fixtures / argv[1])
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    after = _container_sizes()
+    grown = {name: (before.get(name), size) for name, size in after.items()
+             if size != before.get(name) and name != "cpds.stacks._intern"}
+    assert grown == {}

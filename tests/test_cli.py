@@ -113,8 +113,12 @@ def test_selftest_and_fault_injection(tmp_path):
     assert {"seed", "configuration", "oracle", "solver"} <= set(detail)
 
 
-def test_selftest_jobs_flag():
-    assert run("--jobs", "2", "selftest", "--seeds", "4")[0] == 0
+def test_scope_bound_zero_is_not_supported(tmp_path):
+    text = (FIX / "fixsc.cpds").read_text().replace("mode scope 2", "mode scope 0")
+    path = tmp_path / "fixsc0.cpds"
+    path.write_text(text)
+    assert run("check", str(path))[0] == 2
+    assert run("global", str(path), "--to", "c5") == (2, "")
 
 
 def test_check_deterministic_documents():

@@ -16,8 +16,8 @@ from cpds import (
     exact_stack_automaton,
     prestar,
     prestar_extended,
-    ta_successors,
 )
+from cpds.extended import ta_predecessors
 from cpds.oracle import RandomProfile, enumerate_stacks, gen_random_system, prestar_oracle
 
 from conftest import s1, s2
@@ -37,12 +37,12 @@ def test_ta_edges_backward():
     a = exact_stack_automaton(2, {"a", "b"}, {})
     r = Rule("p", "a", ST.rew("b"), "q")
     t2 = LongForm(a.peek_control("q"), "b", frozenset(), (frozenset(), frozenset()))
-    edges = ta_successors([r], t2, a)
+    edges = ta_predecessors(r, t2, a)
     assert len(edges) == 1
-    rule, t1 = edges[0]
-    assert rule == r and t1.head == a.peek_control("p") and t1.letter == "a"
+    t1, = edges
+    assert t1.head == a.peek_control("p") and t1.letter == "a"
     # consuming rules never label edges
-    assert ta_successors([Rule("p", "a", ST.pop(1), "q")], t2, a) == []
+    assert ta_predecessors(Rule("p", "a", ST.pop(1), "q"), t2, a) == []
 
 
 def test_transition_automaton_accepts_words():

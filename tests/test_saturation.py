@@ -5,6 +5,7 @@ from cpds import (
     BudgetExceeded,
     LongForm,
     Rule,
+    State,
     auxsat_consuming,
     auxsat_generating,
     bottom,
@@ -72,6 +73,20 @@ def test_satstep_idempotent_at_fixpoint(fix1):
     none_src = ExplicitRules([], (), ["p"])
     _, added = satstep(none_src, a0)
     assert added == 0
+
+
+def test_present_candidate_still_registers_its_controls():
+    # the long form the rule derives for p is already in the automaton, but
+    # p is not a control yet: saturation must still register it
+    a0 = exact_stack_automaton(2, {"a"}, {"q": [s2(s1("a"))]})
+    t, = a0.long_forms_from(a0.require_control("q"))
+    a0.add_long_form(t.rehead(State(2, ("q", "p"))))
+    assert not a0.has_control("p")
+    rule = Rule("p", "a", ST.noop(), "q")
+    sat, _ = prestar([rule], a0)
+    assert sat.has_control("p")
+    nxt, _ = satstep(ExplicitRules([rule]), a0)
+    assert nxt.has_control("p")
 
 
 def test_iterated_satstep_reaches_prestar():

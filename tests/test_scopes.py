@@ -1,7 +1,10 @@
+import pytest
+
 from cpds import (
     Configuration,
     LongForm,
     Mcpds,
+    NotSupported,
     Rule,
     bottom,
     envmove,
@@ -201,6 +204,17 @@ def test_sbmax_shape_and_ceiling():
             assert a.state_count() <= bound
             p = predecessor(0, sysd, a, WINDOW, "c1", "c2")
             assert p.state_count() <= bound
+
+
+def test_scope_bound_zero_is_not_supported():
+    sysd = fix_sc().with_mode(("scope", 0))
+    assert scope_reachability(sysd, 0, "c5", "c5") is True  # the empty run
+    with pytest.raises(NotSupported):
+        scope_reachability(sysd, 0, "c0", "c5")
+    with pytest.raises(NotSupported):
+        scope_global(sysd, 0, "c5")
+    with pytest.raises(NotSupported):
+        reachability_graph_dot(sysd, 0, "c5")
 
 
 def test_reachability_graph_dot():
