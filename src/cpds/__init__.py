@@ -18,7 +18,6 @@ from .errors import (
     OrderMismatch,
     ParseError,
     PreconditionViolation,
-    RecursionDepthExceeded,
     UndefinedOperation,
     UndefinedTop,
     UnknownControl,

@@ -64,10 +64,6 @@ class NotSupported(CpdsError):
     """Requested feature is intentionally out of scope."""
 
 
-class RecursionDepthExceeded(CpdsError):
-    """Defensive cap on the stack-count recursion of the ordered solver."""
-
-
 class VertexBudgetExceeded(CpdsError):
     """The scope-bounded reachability graph outgrew its vertex budget."""
 

@@ -45,6 +45,20 @@ def ta_predecessors(rule: Rule, t2: LongForm, aut: StackAutomaton,
     return auxsat_generating(rule, t2, aut, layer)
 
 
+def _walk_back(word, t2: LongForm, aut: StackAutomaton, layer: int | None):
+    """The transitions with a run labelled ``word`` to ``t2``, by key."""
+    frontier = {t2.key: t2}
+    for r in reversed(tuple(word)):
+        nxt = {}
+        for x in frontier.values():
+            for t1 in ta_predecessors(r, x, aut, layer):
+                nxt[t1.key] = t1
+        frontier = nxt
+        if not frontier:
+            break
+    return frontier
+
+
 class TransitionAutomaton:
     """On-the-fly view of ``T(aut, t, t')``; words label its runs."""
 
@@ -57,16 +71,8 @@ class TransitionAutomaton:
 
     def accepts(self, word) -> bool:
         """Is there a run from ``initial`` to ``final`` labelled ``word``?"""
-        frontier = {self.final.key: self.final}
-        for r in reversed(list(word)):
-            nxt = {}
-            for t2 in frontier.values():
-                for t1 in ta_predecessors(r, t2, self.aut, self.layer):
-                    nxt[t1.key] = t1
-            frontier = nxt
-            if not frontier:
-                return False
-        return self.initial.key in frontier
+        return self.initial.key in _walk_back(word, self.final, self.aut,
+                                              self.layer)
 
 
 class FiniteLanguage:
@@ -104,19 +110,7 @@ class FiniteLanguage:
         """All ``t`` with a word of this language running from t to ``t2``."""
         found = {}
         for word in self._words:
-            frontier = {t2.key: t2}
-            ok = True
-            for r in reversed(word):
-                nxt = {}
-                for x in frontier.values():
-                    for t1 in ta_predecessors(r, x, aut, layer):
-                        nxt[t1.key] = t1
-                frontier = nxt
-                if not frontier:
-                    ok = False
-                    break
-            if ok:
-                found.update(frontier)
+            found.update(_walk_back(word, t2, aut, layer))
         return [found[k] for k in sorted(found)]
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from . import stacks as ST
 from .automata import LongForm, StackAutomaton, flat_key, lf_key
-from .errors import BudgetExceeded, NotNormalized, RecursionDepthExceeded
+from .errors import BudgetExceeded, NotNormalized
 from .extended import prestar_extended, state_control, ta_predecessors
 from .regular import RegTuple, RegularConfigSet
 from .saturation import prestar
@@ -54,8 +54,10 @@ __all__ = [
     "build_langcheckcpds",
     "ordered_reachability",
     "ordered_global",
-    "OrderedLimits",
 ]
+
+# product controls one langcheck product may materialise
+_MAX_PRODUCT_CONTROLS = 4000
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,6 @@ class CpdaRule:
 
     def __lt__(self, other):
         return self._key < other._key
-
-
-@dataclass
-class OrderedLimits:
-    max_product_controls: int = 4000
-    max_depth: int = 8
 
 
 class LeftCpda:
@@ -191,7 +187,7 @@ class _ProductSource:
         return out
 
 
-def _materialize(source, order, alphabet, stacks, seeds, limit) -> Mcpds:
+def _materialize(source, order, alphabet, stacks, seeds) -> Mcpds:
     """Backward closure of a lazy multi-stack rule source into an Mcpds."""
     controls = {}
     for s in seeds:
@@ -204,10 +200,11 @@ def _materialize(source, order, alphabet, stacks, seeds, limit) -> Mcpds:
             rule_sets[j].append(rule)
             k = flat_key(rule.src)
             if k not in controls:
-                if len(controls) >= limit:
+                if len(controls) >= _MAX_PRODUCT_CONTROLS:
                     raise BudgetExceeded(
                         f"product control budget exceeded: "
-                        f"{len(controls) + 1} controls, limit {limit}"
+                        f"{len(controls) + 1} controls, "
+                        f"limit {_MAX_PRODUCT_CONTROLS}"
                     )
                 controls[k] = rule.src
                 queue.append(rule.src)
@@ -216,8 +213,7 @@ def _materialize(source, order, alphabet, stacks, seeds, limit) -> Mcpds:
 
 
 def build_langcheckcpds(left: LeftCpda, aut: StackAutomaton, t: LongForm,
-                        tprime: LongForm, push_letter: str, stack_index: int,
-                        limit: int = 4000):
+                        tprime: LongForm, push_letter: str, stack_index: int):
     """The entry/exit product for one emptiness query.
 
     Entry pushes the segment's bottom push onto the chosen stack and moves
@@ -236,7 +232,7 @@ def build_langcheckcpds(left: LeftCpda, aut: StackAutomaton, t: LongForm,
     src.extra_into[flat_key((q1, t))] = [
         (stack_index, Rule(enter, BOTTOM, ST.push(push_letter, left.order), (q1, t)))
     ]
-    sysm = _materialize(src, left.order, left.alphabet, left.stacks, [leave], limit)
+    sysm = _materialize(src, left.order, left.alphabet, left.stacks, [leave])
     return sysm, enter, leave
 
 
@@ -316,14 +312,13 @@ class OrderedSolver:
     ``empty_global`` is a function of the system, the target and the depth
     alone, so its results are kept per solver under a content key; the
     memo dies with the solver.  ``stats`` counts, deterministically,
-    saturations, products, batch queries, product solves, and the calls
-    to ``empty_global`` (``global_calls``) against the ones that solved
+    saturations, batch queries, product solves, and the calls to
+    ``empty_global`` (``global_calls``) against the ones that solved
     (``global_solves``).
     """
 
-    def __init__(self, limits: OrderedLimits | None = None):
-        self.limits = limits or OrderedLimits()
-        self.stats = {"saturations": 0, "products": 0, "batch_queries": 0,
+    def __init__(self):
+        self.stats = {"saturations": 0, "batch_queries": 0,
                       "product_solves": 0, "global_calls": 0,
                       "global_solves": 0}
         self._global_memo = {}
@@ -335,9 +330,10 @@ class OrderedSolver:
         """Global solution of the product, memoised per (automaton, t').
 
         Every language handle over the same final transition shares this
-        solve; the handle-specific entry control, letter, and pushed stack
-        are membership filters on the result.  The memo lives on ``left``
-        and is keyed by the automaton's revision.
+        solve, and so does the global descent once the saturation is done;
+        the handle-specific entry control, letter, and pushed stack are
+        membership filters on the result.  The memo lives on ``left`` and
+        is keyed by the automaton's revision.
         """
         key = (aut.uid, aut.revision, tprime.key)
         hit = left.gset_memo.get(key)
@@ -348,7 +344,7 @@ class OrderedSolver:
         src = _ProductSource(left, aut)
         target = (q2, tprime)
         sysm = _materialize(src, left.order, left.alphabet, left.stacks,
-                            [target], self.limits.max_product_controls)
+                            [target])
         if sysm.stacks > 1:
             sysm = normalize_ordered(sysm)
         gset = left.gset_memo[key] = self.empty_global(sysm, target,
@@ -387,6 +383,7 @@ class OrderedSolver:
         by normalisation of inner products are kept in the result; callers
         filter to the controls they care about.  Results are shared between
         calls with content-equal arguments and must not be mutated.
+        ``depth``, the stack count of ``sys``, is part of the memo key only.
         """
         self.stats["global_calls"] += 1
         key = (sys.order, sys.alphabet, sys.controls, sys.rule_sets,
@@ -395,29 +392,40 @@ class OrderedSolver:
         if hit is None:
             self.stats["global_solves"] += 1
             hit = self._global_memo[key] = self._solve_global(
-                sys, target_control, depth)
+                sys, target_control)
         return hit
 
-    def _solve_global(self, sys: Mcpds, target_control, depth) -> RegularConfigSet:
-        if depth < 0:
-            raise RecursionDepthExceeded("ordered recursion exceeded stack count")
-        m = sys.stacks
+    def _prestar_last(self, sys: Mcpds, target_control,
+                      left: LeftCpda | None = None) -> StackAutomaton:
+        """Saturation of ``(target, all-empty)`` over the last stack.
+
+        A single-stack system is saturated as it is; otherwise the right
+        system over ``left`` (built when not given) swallows the segments
+        on the earlier stacks.
+        """
         n = sys.order
         a0 = exact_stack_automaton(n, sys.alphabet,
                                    {target_control: [ST.bottom(n)]})
-        out = RegularConfigSet(n, m)
-        if m == 1:
+        if sys.stacks == 1:
             single = Mcpds(n, sys.alphabet, sys.controls, sys.rule_sets, "single")
             b, _ = prestar(single, a0)
-            self.stats["saturations"] += 1
+        else:
+            b, _ = prestar_extended(build_rightcpds(sys, self, left), a0)
+        self.stats["saturations"] += 1
+        return b
+
+    def _solve_global(self, sys: Mcpds, target_control) -> RegularConfigSet:
+        m = sys.stacks
+        n = sys.order
+        out = RegularConfigSet(n, m)
+        if m == 1:
+            b = self._prestar_last(sys, target_control)
             for q in sys.controls:
                 if b.has_control(q):
                     out.add(RegTuple(q, (b,), (b.require_control(q),)))
             return out
         left = build_leftcpda(sys)
-        right = build_rightcpds(sys, self, left)
-        bm, _ = prestar_extended(right, a0)
-        self.stats["saturations"] += 1
+        bm = self._prestar_last(sys, target_control, left)
         bot_aut = exact_stack_automaton(n, sys.alphabet, {"root": [ST.bottom(n)]})
         bot_init = bot_aut.require_control("root")
         for q in sys.controls:
@@ -428,14 +436,15 @@ class OrderedSolver:
                     (bot_init,) * (m - 1) + (bm.require_control(q),),
                 ))
         # descend: guess the exit control and final transition of the last
-        # stack, track its transition automaton in the control of a product
-        # over the remaining stacks, and splice the recursive solution
+        # stack; the product over the remaining stacks that tracks its
+        # transition automaton in the control is the one the language
+        # queries solve, so its memoised solution is spliced back
         spliced = {}  # x -> bm re-rooted at x, shared by every tuple ending in x
         for q2 in sys.controls:
             if not bm.has_control(q2):
                 continue
             for tprime in bm.long_forms_from(bm.require_control(q2)):
-                sub = self._descend(sys, left, bm, q2, tprime, depth)
+                sub = self._product_global(left, bm, tprime)
                 for tup in sub.tuples:
                     ctl = tup.control
                     if not (isinstance(ctl, tuple) and len(ctl) == 2
@@ -447,15 +456,6 @@ class OrderedSolver:
                     aut, init = spliced[x]
                     out.add(RegTuple(q, tup.autos + (aut,), tup.initials + (init,)))
         return out
-
-    def _descend(self, sys, left, bm, q2, tprime, depth) -> RegularConfigSet:
-        self.stats["products"] += 1
-        src = _ProductSource(left, bm)
-        target = (q2, tprime)
-        sysm = _materialize(src, sys.order, sys.alphabet, sys.stacks - 1,
-                            [target], self.limits.max_product_controls)
-        sysm = normalize_ordered(sysm) if sysm.stacks > 1 else sysm
-        return self.empty_global(sysm, target, depth - 1)
 
     @staticmethod
     def _splice(bm: StackAutomaton, x: LongForm):
@@ -474,32 +474,17 @@ def _prepare(sys: Mcpds):
     return normalize_ordered(sys)
 
 
-def ordered_reachability(sys: Mcpds, q_in, q_out,
-                         limits: OrderedLimits | None = None) -> bool:
+def ordered_reachability(sys: Mcpds, q_in, q_out) -> bool:
     """Can the all-empty configuration at ``q_in`` reach control ``q_out``?"""
-    solver = OrderedSolver(limits)
-    norm = _prepare(sys)
-    cleared, fin = add_clearing_rules(norm, q_out)
-    m = cleared.stacks
-    n = cleared.order
-    a0 = exact_stack_automaton(n, cleared.alphabet, {fin: [ST.bottom(n)]})
-    if m == 1:
-        single = Mcpds(n, cleared.alphabet, cleared.controls, cleared.rule_sets,
-                       "single")
-        b, _ = prestar(single, a0)
-        return b.has_control(q_in) and b.member(q_in, ST.bottom(n))
-    right = build_rightcpds(cleared, solver)
-    bm, _ = prestar_extended(right, a0)
-    return bm.has_control(q_in) and bm.member(q_in, ST.bottom(n))
+    cleared, fin = add_clearing_rules(_prepare(sys), q_out)
+    b = OrderedSolver()._prestar_last(cleared, fin)
+    return b.has_control(q_in) and b.member(q_in, ST.bottom(cleared.order))
 
 
-def ordered_global(sys: Mcpds, q_out,
-                   limits: OrderedLimits | None = None) -> RegularConfigSet:
+def ordered_global(sys: Mcpds, q_out) -> RegularConfigSet:
     """All configurations (over the declared controls) that can reach ``q_out``."""
-    solver = OrderedSolver(limits)
-    norm = _prepare(sys)
-    cleared, fin = add_clearing_rules(norm, q_out)
-    full = solver.empty_global(cleared, fin, depth=cleared.stacks)
+    cleared, fin = add_clearing_rules(_prepare(sys), q_out)
+    full = OrderedSolver().empty_global(cleared, fin, depth=cleared.stacks)
     out = RegularConfigSet(sys.order, sys.stacks)
     declared = set(sys.controls)
     for t in full.tuples:

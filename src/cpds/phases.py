@@ -19,7 +19,7 @@ from itertools import product
 
 from . import stacks as ST
 from .automata import StackAutomaton, State, accept_all_automaton, flat_key
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotSupported
 from .extended import ta_predecessors
 from .regular import RegTuple, RegularConfigSet
 from .saturation import prestar
@@ -30,8 +30,12 @@ __all__ = [
     "build_pbcpds",
     "phase_reachability",
     "phase_global",
-    "PhaseLimits",
 ]
+
+# transitions one phase product's saturation may add before the guess is
+# dropped, and branches one step back may open before the solve stops
+_MAX_PRODUCT_TRANSITIONS = 4000
+_MAX_BRANCHES = 512
 
 
 @dataclass(frozen=True)
@@ -45,12 +49,6 @@ class PhasePlan:
         assert len(self.boundaries) == len(self.popping) + 1
 
 
-@dataclass
-class PhaseLimits:
-    max_product_controls: int = 4000
-    max_branches: int = 512
-
-
 class _PbSource:
     """Lazy single-stack rule source for one phase of the product system.
 
@@ -61,13 +59,11 @@ class _PbSource:
 
     extended = False
 
-    def __init__(self, sys: Mcpds, s: int, autos: dict, tprimes: dict,
-                 q_prev, q_cur):
+    def __init__(self, sys: Mcpds, s: int, autos: dict, tprimes: dict, q_cur):
         self.sys = sys
         self.s = s
         self.autos = autos  # stack index -> StackAutomaton (j != s)
         self.tprimes = tprimes  # stack index -> LongForm (j != s)
-        self.q_prev = q_prev
         self.q_cur = q_cur
         self.rule_count = sum(len(rs) for rs in sys.rule_sets) + 2
         self._into_s = {}
@@ -129,23 +125,22 @@ class _PbSource:
         return out
 
 
-def build_pbcpds(sys: Mcpds, s: int, autos: dict, tprimes: dict, q_prev, q_cur):
+def build_pbcpds(sys: Mcpds, s: int, autos: dict, tprimes: dict, q_cur):
     """The product system for one phase; see :class:`_PbSource`.
 
     ``autos`` and ``tprimes`` map every non-popping stack index to its
     current automaton and guessed final transition.  Returned as a lazy
     rule source consumable by the saturation engine.
     """
-    return _PbSource(sys, s, autos, tprimes, q_prev, q_cur)
+    return _PbSource(sys, s, autos, tprimes, q_cur)
 
 
 class _PhaseSolver:
-    def __init__(self, sys: Mcpds, z: int, limits: PhaseLimits | None):
+    def __init__(self, sys: Mcpds, z: int):
         if not (isinstance(sys.mode, tuple) and sys.mode[0] == "phase"):
             sys = sys.with_mode(("phase", z))
         self.sys = sys
         self.z = z
-        self.limits = limits or PhaseLimits()
         self._fresh = 0
 
     def seed_autos(self, q_last):
@@ -190,21 +185,21 @@ class _PhaseSolver:
         count = 0
         for choice in product(*tprime_options):
             tprimes = dict(zip(others, choice))
-            source = build_pbcpds(self.sys, s, autos, tprimes, q_prev, q_cur)
+            source = build_pbcpds(self.sys, s, autos, tprimes, q_cur)
             base = self._clean_copy(autos[s])
             try:
                 sat, _ = prestar(
                     source, base, check=False,
-                    max_transitions=self.limits.max_product_controls,
+                    max_transitions=_MAX_PRODUCT_TRANSITIONS,
                 )
             except BudgetExceeded:
                 continue
             for ta in self._admissible_entries(sat, q_prev):
                 count += 1
-                if count > self.limits.max_branches:
+                if count > _MAX_BRANCHES:
                     raise BudgetExceeded(
                         f"phase branching budget exceeded: {count} branches, "
-                        f"limit {self.limits.max_branches}"
+                        f"limit {_MAX_BRANCHES}"
                     )
                 new_autos = {}
                 # popping stack: re-root on the entry vector's product state
@@ -280,24 +275,23 @@ class _PhaseSolver:
                     yield PhasePlan(bounds, pops)
 
 
-def phase_reachability(sys: Mcpds, z: int, q_in, q_out,
-                       limits: PhaseLimits | None = None) -> bool:
+def phase_reachability(sys: Mcpds, z: int, q_in, q_out) -> bool:
     """Is ``q_out`` reachable from the all-empty configuration at ``q_in``
     within ``z`` phases?"""
     if q_in == q_out:
         return True
     if z < 1:
         return False
-    solver = _PhaseSolver(sys, z, limits)
+    solver = _PhaseSolver(sys, z)
     found, _ = solver.solve(q_in, q_out, want_global=False)
     return found
 
 
-def phase_global(sys: Mcpds, z: int, q_out,
-                 limits: PhaseLimits | None = None) -> RegularConfigSet:
+def phase_global(sys: Mcpds, z: int, q_out) -> RegularConfigSet:
     """Tuples covering every configuration reaching ``q_out`` in <= z phases."""
     if z < 1:
-        raise BudgetExceeded("phase bound must be at least 1")
-    solver = _PhaseSolver(sys, z, limits)
+        raise NotSupported(f"the phase solver needs a bound of at least 1, "
+                           f"got {z}")
+    solver = _PhaseSolver(sys, z)
     _, results = solver.solve(None, q_out, want_global=True)
     return results

@@ -40,15 +40,13 @@ __all__ = [
     "scope_global",
     "sbmax",
     "layered_seed",
-    "ScopeLimits",
     "ReachVertex",
 ]
 
-
-@dataclass
-class ScopeLimits:
-    max_vertices: int = 4000
-    max_transitions: int = 40000
+# vertices the reachability graph may hold, and transitions one round's
+# saturation may add
+_MAX_VERTICES = 4000
+_MAX_TRANSITIONS = 40000
 
 
 def sbmax(zeta: int, controls: int, order: int, clamp: int = 10 ** 9) -> int:
@@ -277,10 +275,8 @@ def _admissible(vertex: ReachVertex) -> bool:
     return True
 
 
-def initial_vertices(sys: Mcpds, zeta: int, q_out,
-                     limits: ScopeLimits | None = None):
+def initial_vertices(sys: Mcpds, zeta: int, q_out):
     """Vertices modelling a run's final round, ending at ``q_out``."""
-    limits = limits or ScopeLimits()
     window = zeta + 1
     m = sys.stacks
     sat_memo = {}
@@ -289,7 +285,7 @@ def initial_vertices(sys: Mcpds, zeta: int, q_out,
         key = (j, q_end)
         if key not in sat_memo:
             sat_memo[key] = saturate_layer(
-                j, sys, layered_seed(sys, window, q_end), limits.max_transitions
+                j, sys, layered_seed(sys, window, q_end), _MAX_TRANSITIONS
             )
         return sat_memo[key]
 
@@ -303,14 +299,13 @@ def initial_vertices(sys: Mcpds, zeta: int, q_out,
 
 
 class _Graph:
-    def __init__(self, sys: Mcpds, zeta: int, limits: ScopeLimits):
+    def __init__(self, sys: Mcpds, zeta: int):
         if zeta < 1:
             raise NotSupported("the scope solver needs a bound of at least 1; "
                                "only the run validator handles a zero bound")
         self.sys = sys
         self.zeta = zeta
         self.window = zeta + 1
-        self.limits = limits
         self.bound = sbmax(zeta, len(sys.controls), sys.order)
         self.pred_memo = {}
 
@@ -326,7 +321,7 @@ class _Graph:
                 if aut is None:
                     aut = predecessor(j, self.sys, v.autos[j], self.window,
                                       qs[j + 1], v.controls[j],
-                                      self.limits.max_transitions)
+                                      _MAX_TRANSITIONS)
                     self.pred_memo[key] = aut
                 if aut.state_count() > self.bound:
                     raise VertexBudgetExceeded(
@@ -343,7 +338,7 @@ class _Graph:
         frontier = []
         hit = False
         results = []
-        for v in initial_vertices(self.sys, self.zeta, q_out, self.limits):
+        for v in initial_vertices(self.sys, self.zeta, q_out):
             k = v.key()
             if k not in seen:
                 seen[k] = v
@@ -361,11 +356,11 @@ class _Graph:
                     k = p.key()
                     if k in seen:
                         continue
-                    if len(seen) >= self.limits.max_vertices:
+                    if len(seen) >= _MAX_VERTICES:
                         raise VertexBudgetExceeded(
                             f"reachability graph budget exceeded: "
                             f"{len(seen) + 1} vertices, "
-                            f"limit {self.limits.max_vertices}"
+                            f"limit {_MAX_VERTICES}"
                         )
                     seen[k] = p
                     nxt.append(p)
@@ -384,20 +379,18 @@ class _Graph:
         return True
 
 
-def scope_reachability(sys: Mcpds, zeta: int, q_in, q_out,
-                       limits: ScopeLimits | None = None) -> bool:
+def scope_reachability(sys: Mcpds, zeta: int, q_in, q_out) -> bool:
     """Is ``q_out`` reachable from all-empty at ``q_in`` under scope zeta?"""
     if q_in == q_out:
         return True
-    g = _Graph(sys, zeta, limits or ScopeLimits())
+    g = _Graph(sys, zeta)
     hit, _ = g.search(q_in, q_out, want_global=False)
     return hit
 
 
-def reachability_graph_dot(sys: Mcpds, zeta: int, q_out,
-                           limits: ScopeLimits | None = None) -> str:
+def reachability_graph_dot(sys: Mcpds, zeta: int, q_out) -> str:
     """DOT rendering of the explored reachability graph."""
-    g = _Graph(sys, zeta, limits or ScopeLimits())
+    g = _Graph(sys, zeta)
     _, vertices = g.search(None, q_out, want_global=True)
     index = {v.key(): i for i, v in enumerate(vertices)}
     lines = ["digraph scope_reachability {", "  rankdir=LR;"]
@@ -413,14 +406,13 @@ def reachability_graph_dot(sys: Mcpds, zeta: int, q_out,
     return "\n".join(lines) + "\n"
 
 
-def scope_global(sys: Mcpds, zeta: int, q_out,
-                 limits: ScopeLimits | None = None) -> RegularConfigSet:
+def scope_global(sys: Mcpds, zeta: int, q_out) -> RegularConfigSet:
     """Tuples covering the configurations with a scope-bounded run to ``q_out``.
 
     Every reached vertex contributes the tuple of its automata, each
     restricted to the layer-1 state of its segment-opening control.
     """
-    g = _Graph(sys, zeta, limits or ScopeLimits())
+    g = _Graph(sys, zeta)
     _, vertices = g.search(None, q_out, want_global=True)
     out = RegularConfigSet(sys.order, sys.stacks)
     for v in vertices:

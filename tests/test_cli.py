@@ -121,6 +121,17 @@ def test_scope_bound_zero_is_not_supported(tmp_path):
     assert run("global", str(path), "--to", "c5") == (2, "")
 
 
+def test_phase_bound_zero_is_not_supported(tmp_path, capsys):
+    text = (FIX / "fixph.cpds").read_text().replace("mode phase 2", "mode phase 0")
+    path = tmp_path / "fixph0.cpds"
+    path.write_text(text)
+    assert run("check", str(path))[0] == 1  # no phase, so p4 is unreachable
+    capsys.readouterr()
+    assert run("global", str(path), "--to", "p4") == (2, "")
+    assert "error: NotSupported: the phase solver needs a bound of at least 1" \
+        in capsys.readouterr().err
+
+
 def test_check_deterministic_documents():
     for name in ("fix1.cpds", "fix3.cpds", "fixph.cpds", "fixsc.cpds"):
         a = run("check", str(FIX / name))

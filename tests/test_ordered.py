@@ -1,7 +1,9 @@
 import pytest
 
+import cpds.ordered
 import cpds.stacks as ST
 from cpds import (
+    BudgetExceeded,
     Configuration,
     Mcpds,
     NotNormalized,
@@ -232,3 +234,10 @@ def test_empty_global_memo_separates_target_and_controls_order():
     assert solver.stats["global_solves"] > solves
     assert again is not first
     assert {t.key() for t in again.tuples} == {t.key() for t in first.tuples}
+
+
+def test_product_control_budget_names_limit_and_count(monkeypatch):
+    monkeypatch.setattr(cpds.ordered, "_MAX_PRODUCT_CONTROLS", 2)
+    with pytest.raises(BudgetExceeded,
+                       match=r"product control budget exceeded: 3 controls, limit 2"):
+        ordered_global(fix3(), "q7")

@@ -1,7 +1,12 @@
+import pytest
+
+import cpds.phases
 import cpds.stacks as ST
 from cpds import (
+    BudgetExceeded,
     Configuration,
     Mcpds,
+    NotSupported,
     Rule,
     bottom,
     build_pbcpds,
@@ -33,6 +38,20 @@ def test_zero_length_run():
     assert phase_reachability(sysd, 0, "p0", "p0") is True
 
 
+def test_phase_bound_zero_is_not_supported():
+    sysd = fix_ph()
+    assert phase_reachability(sysd, 0, "p0", "p4") is False
+    with pytest.raises(NotSupported, match="at least 1, got 0"):
+        phase_global(sysd, 0, "p4")
+
+
+def test_phase_branching_budget_names_limit_and_count(monkeypatch):
+    monkeypatch.setattr(cpds.phases, "_MAX_BRANCHES", 1)
+    with pytest.raises(BudgetExceeded,
+                       match=r"phase branching budget exceeded: 2 branches, limit 1"):
+        phase_global(fix_ph(), 2, "p4")
+
+
 def test_pbcpds_rule_families():
     from cpds.automata import accept_all_automaton
 
@@ -40,7 +59,7 @@ def test_pbcpds_rule_families():
     autos = {1: accept_all_automaton(2, sysd.alphabet, sysd.controls, ["p4"])}
     head = autos[1].require_control("p4")
     tprimes = {1: autos[1].long_forms_from(head)[0]}
-    src = build_pbcpds(sysd, 0, autos, tprimes, "p0", "p4")
+    src = build_pbcpds(sysd, 0, autos, tprimes, "p4")
     # exit family: one rule per letter into the exit control
     exits = src.rules_into("p4")
     assert {r.letter for r in exits} == set(sysd.alphabet)

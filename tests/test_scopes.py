@@ -1,11 +1,13 @@
 import pytest
 
+import cpds.scopes
 from cpds import (
     Configuration,
     LongForm,
     Mcpds,
     NotSupported,
     Rule,
+    VertexBudgetExceeded,
     bottom,
     envmove,
     initial_vertices,
@@ -215,6 +217,13 @@ def test_scope_bound_zero_is_not_supported():
         scope_global(sysd, 0, "c5")
     with pytest.raises(NotSupported):
         reachability_graph_dot(sysd, 0, "c5")
+
+
+def test_vertex_budget_names_limit_and_count(monkeypatch):
+    monkeypatch.setattr(cpds.scopes, "_MAX_VERTICES", 3)
+    with pytest.raises(VertexBudgetExceeded,
+                       match=r"graph budget exceeded: 4 vertices, limit 3"):
+        scope_global(fix_sc(), 2, "c5")
 
 
 def test_reachability_graph_dot():
