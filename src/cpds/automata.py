@@ -828,43 +828,24 @@ class StackAutomaton:
         every designated state and keeps canonical keys free of orphaned
         fresh names.
         """
-        active = set(self.states[self.order])
-        work = list(self.states[self.order])
-        while work:
-            s = work.pop()
-            if s.order >= 2:
-                for (src, targets), label in self.delta_high[s.order].items():
-                    if src != s:
-                        continue
-                    for t in [label] + list(targets):
-                        if t not in active:
-                            active.add(t)
-                            work.append(t)
-            else:
-                for (_l, branch, targets) in self.delta1.get(s, {}):
-                    for t in list(branch) + list(targets):
-                        if t not in active:
-                            active.add(t)
-                            work.append(t)
-        out = StackAutomaton(self.order, self.alphabet)
-        for k in range(1, self.order + 1):
-            for s in self.states[k]:
-                if s in active:
-                    out.add_state(s, final=s in self.finals[k],
-                                  layer=self.layers.get(s))
+        consulted = {}  # state -> labels, targets and branch members it reads
         for k in range(2, self.order + 1):
             for (src, targets), label in self.delta_high[k].items():
-                if src in active:
-                    out.add_high_transition(src, targets, label=label)
+                consulted.setdefault(src, []).extend((label, *targets))
         for src, slots in self.delta1.items():
-            if src not in active:
-                continue
-            for (letter, branch, targets) in slots:
-                out.add_delta1(src, letter, branch, targets)
+            for (_l, branch, targets) in slots:
+                consulted.setdefault(src, []).extend((*branch, *targets))
+        active = set(self.states[self.order])
+        work = list(active)
+        while work:
+            for t in consulted.get(work.pop(), ()):
+                if t not in active:
+                    active.add(t)
+                    work.append(t)
+        out = StackAutomaton(self.order, self.alphabet)
+        copy_into(out, self, lambda s: s if s in active else None)
         out.controls = dict(self.controls)
         out.layer_controls = dict(self.layer_controls)
-        for s in list(self.controls.values()) + list(self.layer_controls.values()):
-            out.add_state(s, layer=self.layers.get(s))
         out._fresh = self._fresh
         return out
 
@@ -1107,13 +1088,6 @@ def _seqs_name(seqs) -> str:
     return "|".join(sorted(parts))
 
 
-def bottom_automaton(order: int, alphabet, controls_accepting) -> StackAutomaton:
-    """P-automaton accepting exactly the empty stack for the given controls."""
-    return exact_stack_automaton(
-        order, alphabet, {c: [ST.bottom(order)] for c in controls_accepting}
-    )
-
-
 def accept_all_automaton(order: int, alphabet, controls, accepting) -> StackAutomaton:
     """P-automaton accepting every stack with a defined top character.
 
@@ -1137,27 +1111,44 @@ def accept_all_automaton(order: int, alphabet, controls, accepting) -> StackAuto
 # ---------------------------------------------------------------------------
 
 
-def _import_into(dst: StackAutomaton, src: StackAutomaton, tag: str):
+def copy_into(dst: StackAutomaton, src: StackAutomaton, rename, lift: int = 0) -> dict:
+    """Add the image of ``src`` under ``rename`` to ``dst``.
+
+    ``rename`` sends a state of ``src`` to its state in ``dst``, or to None
+    to drop it.  Kept states keep their final flag, and their layer raised
+    by ``lift``; a transition is kept when its source, label, targets and
+    branch states all are.  Returns the map of the kept states.
+    """
     mapping = {}
     for k in range(1, src.order + 1):
         for s in src.states[k]:
-            mapping[s] = dst.add_state(
-                State(k, (tag,) + s.name),
-                final=s in src.finals[k],
-                layer=src.layers.get(s),
-            )
+            t = rename(s)
+            if t is not None:
+                layer = src.layers.get(s)
+                mapping[s] = dst.add_state(
+                    t, final=s in src.finals[k],
+                    layer=None if layer is None else layer + lift,
+                )
+    m = mapping.get
     for k in range(2, src.order + 1):
         for (s, targets), label in src.delta_high[k].items():
-            dst.add_high_transition(
-                mapping[s], [mapping[t] for t in targets], label=mapping[label]
-            )
+            head, image = m(s), [m(t) for t in targets]
+            if head is not None and m(label) is not None and None not in image:
+                dst.add_high_transition(head, image, label=mapping[label])
     for s, slots in src.delta1.items():
+        head = m(s)
+        if head is None:
+            continue
         for (letter, branch, targets) in slots:
-            dst.add_delta1(
-                mapping[s], letter,
-                [mapping[b] for b in branch], [mapping[t] for t in targets],
-            )
+            b_image = [m(b) for b in branch]
+            t_image = [m(t) for t in targets]
+            if None not in b_image and None not in t_image:
+                dst.add_delta1(head, letter, b_image, t_image)
     return mapping
+
+
+def _import_into(dst: StackAutomaton, src: StackAutomaton, tag: str):
+    return copy_into(dst, src, lambda s: State(s.order, (tag,) + s.name))
 
 
 def union(a: StackAutomaton, b: StackAutomaton, pairs):

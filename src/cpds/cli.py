@@ -31,7 +31,7 @@ from .oracle import (
 )
 from .ordered import ordered_global, ordered_reachability
 from .phases import phase_global, phase_reachability
-from .regular import RegularConfigSet
+from .regular import RegTuple, RegularConfigSet
 from .saturation import prestar
 from .scopes import scope_global, scope_reachability
 from .sysfile import (
@@ -189,8 +189,6 @@ def cmd_global(args) -> int:
         a0 = _single_target_automaton(sf, q_out)
         sat, _ = prestar_extended(sysd, a0)
         gset = RegularConfigSet(sysd.order, 1)
-        from .regular import RegTuple
-
         for q in sysd.controls:
             if sat.has_control(q):
                 gset.add(RegTuple(q, (sat,), (sat.require_control(q),)))

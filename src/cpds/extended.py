@@ -35,23 +35,22 @@ def state_control(s) -> object | None:
     return None
 
 
-def ta_predecessors(rule: Rule, t2: LongForm, aut: StackAutomaton,
-                    layer: int | None = None):
+def ta_predecessors(rule: Rule, t2: LongForm, aut: StackAutomaton):
     """All ``t1`` with an edge ``t1 --rule--> t2`` in the transition automaton."""
     if rule.consuming:
         return []
-    if t2.head != aut.peek_control(rule.dst, layer):
+    if t2.head != aut.peek_control(rule.dst):
         return []
-    return auxsat_generating(rule, t2, aut, layer)
+    return auxsat_generating(rule, t2, aut)
 
 
-def _walk_back(word, t2: LongForm, aut: StackAutomaton, layer: int | None):
+def _walk_back(word, t2: LongForm, aut: StackAutomaton):
     """The transitions with a run labelled ``word`` to ``t2``, by key."""
     frontier = {t2.key: t2}
     for r in reversed(tuple(word)):
         nxt = {}
         for x in frontier.values():
-            for t1 in ta_predecessors(r, x, aut, layer):
+            for t1 in ta_predecessors(r, x, aut):
                 nxt[t1.key] = t1
         frontier = nxt
         if not frontier:
@@ -62,17 +61,14 @@ def _walk_back(word, t2: LongForm, aut: StackAutomaton, layer: int | None):
 class TransitionAutomaton:
     """On-the-fly view of ``T(aut, t, t')``; words label its runs."""
 
-    def __init__(self, aut: StackAutomaton, initial: LongForm,
-                 final: LongForm, layer: int | None = None):
+    def __init__(self, aut: StackAutomaton, initial: LongForm, final: LongForm):
         self.aut = aut
         self.initial = initial
         self.final = final
-        self.layer = layer
 
     def accepts(self, word) -> bool:
         """Is there a run from ``initial`` to ``final`` labelled ``word``?"""
-        return self.initial.key in _walk_back(word, self.final, self.aut,
-                                              self.layer)
+        return self.initial.key in _walk_back(word, self.final, self.aut)
 
 
 class FiniteLanguage:
@@ -105,12 +101,11 @@ class FiniteLanguage:
     def words(self):
         return list(self._words)
 
-    def initials(self, aut: StackAutomaton, t2: LongForm,
-                 layer: int | None = None):
+    def initials(self, aut: StackAutomaton, t2: LongForm):
         """All ``t`` with a word of this language running from t to ``t2``."""
         found = {}
         for word in self._words:
-            found.update(_walk_back(word, t2, aut, layer))
+            found.update(_walk_back(word, t2, aut))
         return [found[k] for k in sorted(found)]
 
 

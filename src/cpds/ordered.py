@@ -29,8 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import stacks as ST
-from .automata import LongForm, StackAutomaton, flat_key, lf_key
-from .errors import BudgetExceeded, NotNormalized
+from .automata import (
+    LongForm,
+    StackAutomaton,
+    State,
+    exact_stack_automaton,
+    flat_key,
+    lf_key,
+)
+from .errors import BudgetExceeded, LanguageQueryFailure, NotNormalized
 from .extended import prestar_extended, state_control, ta_predecessors
 from .regular import RegTuple, RegularConfigSet
 from .saturation import prestar
@@ -43,7 +50,6 @@ from .systems import (
     add_clearing_rules,
     normalize_ordered,
 )
-from .automata import exact_stack_automaton
 
 __all__ = [
     "CpdaRule",
@@ -177,7 +183,7 @@ class _ProductSource:
 
     def rules_into(self, dst):
         out = list(self.extra_into.get(flat_key(dst), ()))
-        if isinstance(dst, tuple) and len(dst) == 2 and isinstance(dst[1], LongForm):
+        if _is_product_control(dst):
             q2, t2 = dst
             for j in range(self.left.stacks):
                 for cr in self.left.rules_into_pair(j, (q2, t2.letter)):
@@ -185,6 +191,11 @@ class _ProductSource:
                         src = (cr.src[0], t1)
                         out.append((j, Rule(src, cr.letter, cr.op, dst)))
         return out
+
+
+def _is_product_control(ctl) -> bool:
+    """Is ``ctl`` a product control ``(control, long-form)``?"""
+    return isinstance(ctl, tuple) and len(ctl) == 2 and isinstance(ctl[1], LongForm)
 
 
 def _materialize(source, order, alphabet, stacks, seeds) -> Mcpds:
@@ -256,11 +267,9 @@ class CpdaLang:
         return f"L[{self.q1},{self.a}->{self.q2};push {self.b}@{self.i + 1}]"
 
     def words(self):
-        from .errors import LanguageQueryFailure
-
         raise LanguageQueryFailure("segment languages are not enumerable")
 
-    def initials(self, aut: StackAutomaton, t2: LongForm, layer=None):
+    def initials(self, aut: StackAutomaton, t2: LongForm):
         if state_control(t2.head) != self.q2:
             return []
         out = {}
@@ -364,8 +373,7 @@ class OrderedSolver:
         )
         out = []
         for ctl in gset.controls():
-            if not (isinstance(ctl, tuple) and len(ctl) == 2
-                    and isinstance(ctl[1], LongForm)):
+            if not _is_product_control(ctl):
                 continue
             if ctl[0] != q1 or ctl[1].letter != a:
                 continue
@@ -447,8 +455,7 @@ class OrderedSolver:
                 sub = self._product_global(left, bm, tprime)
                 for tup in sub.tuples:
                     ctl = tup.control
-                    if not (isinstance(ctl, tuple) and len(ctl) == 2
-                            and isinstance(ctl[1], LongForm)):
+                    if not _is_product_control(ctl):
                         continue
                     q, x = ctl
                     if x not in spliced:
@@ -461,8 +468,6 @@ class OrderedSolver:
     def _splice(bm: StackAutomaton, x: LongForm):
         """``bm`` with ``x`` re-rooted at a fresh designated initial state."""
         a = bm.copy()
-        from .automata import State
-
         s = a.add_state(State(a.order, ("splice", x.key)))
         a.add_long_form(x.rehead(s))
         return a, s

@@ -32,8 +32,8 @@ __all__ = [
     "phase_global",
 ]
 
-# transitions one phase product's saturation may add before the guess is
-# dropped, and branches one step back may open before the solve stops
+# transitions one phase product's saturation may add, and branches one step
+# back may open, before the solve stops
 _MAX_PRODUCT_TRANSITIONS = 4000
 _MAX_BRANCHES = 512
 
@@ -47,6 +47,11 @@ class PhasePlan:
 
     def __post_init__(self):
         assert len(self.boundaries) == len(self.popping) + 1
+
+
+def _is_product_control(ctl) -> bool:
+    """Is ``ctl`` a product control ``(control, ta)``?"""
+    return isinstance(ctl, tuple) and len(ctl) == 2 and isinstance(ctl[1], tuple)
 
 
 class _PbSource:
@@ -101,7 +106,7 @@ class _PbSource:
             for a in letters:
                 out.append(Rule(src, a, ST.noop(), self.q_cur))
             return out
-        if not (isinstance(dst, tuple) and len(dst) == 2 and isinstance(dst[1], tuple)):
+        if not _is_product_control(dst):
             return out
         q2, ta2 = dst
         # rules of the popping stack: apply for real, others move by noop
@@ -187,13 +192,8 @@ class _PhaseSolver:
             tprimes = dict(zip(others, choice))
             source = build_pbcpds(self.sys, s, autos, tprimes, q_cur)
             base = self._clean_copy(autos[s])
-            try:
-                sat, _ = prestar(
-                    source, base, check=False,
-                    max_transitions=_MAX_PRODUCT_TRANSITIONS,
-                )
-            except BudgetExceeded:
-                continue
+            sat, _ = prestar(source, base, check=False,
+                             max_transitions=_MAX_PRODUCT_TRANSITIONS)
             for ta in self._admissible_entries(sat, q_prev):
                 count += 1
                 if count > _MAX_BRANCHES:
@@ -224,8 +224,7 @@ class _PhaseSolver:
     def _admissible_entries(self, sat: StackAutomaton, q_prev):
         out = []
         for key, state in sat.controls.items():
-            if not (isinstance(key, tuple) and len(key) == 2
-                    and isinstance(key[1], tuple)):
+            if not _is_product_control(key):
                 continue
             if key[0] != q_prev:
                 continue

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import stacks as ST
-from .automata import LongForm, StackAutomaton, State, flat_key
+from .automata import LongForm, StackAutomaton, State, copy_into, flat_key
 from .errors import NotSupported, VertexBudgetExceeded
 from .regular import RegTuple, RegularConfigSet
 from .saturation import ExplicitRules, prestar
@@ -120,42 +120,10 @@ def _shift(a: StackAutomaton, window: int) -> StackAutomaton:
             return renamed
         return s
 
-    mapped = {}
-    for k in range(1, n + 1):
-        for s in a.states[k]:
-            t = shift_state(s)
-            if t is not None:
-                mapped[s] = t
-
-    def reg(s: State) -> State:
-        t = mapped[s]
-        out.add_state(t, layer=a.layers.get(s, 0) + 1)
-        return t
-
-    # register only what surviving transitions or mappings actually use,
-    # so unreferenced states do not pile up across rounds
-    for k in range(2, n + 1):
-        for (src, targets), label in a.delta_high[k].items():
-            if src not in mapped or label not in mapped:
-                continue
-            if any(t not in mapped for t in targets):
-                continue
-            out.add_high_transition(
-                reg(src), [reg(t) for t in targets], label=reg(label)
-            )
-    for src, slots in a.delta1.items():
-        if src not in mapped:
-            continue
-        for (letter, branch, targets) in slots:
-            if any(x not in mapped for x in branch | targets):
-                continue
-            out.add_delta1(
-                reg(src), letter,
-                [reg(b) for b in branch], [reg(t) for t in targets],
-            )
+    mapped = copy_into(out, a, shift_state, lift=1)
     for (control, layer), s in a.layer_controls.items():
         if layer < window and s in mapped:
-            out.remap_control(control, reg(s), layer + 1)
+            out.remap_control(control, mapped[s], layer + 1)
     out._fresh = a._fresh
     return out.pruned()
 
@@ -220,32 +188,9 @@ def surface(a: StackAutomaton, window: int) -> StackAutomaton:
     stacks.
     """
     out = StackAutomaton(a.order, a.alphabet)
-
-    def deep(s: State) -> bool:
-        return a.layers.get(s, 1) >= window
-
-    for k in range(1, a.order + 1):
-        for s in a.states[k]:
-            if not deep(s):
-                out.add_state(s, final=s in a.finals[k], layer=a.layers.get(s))
-    for k in range(2, a.order + 1):
-        for (src, targets), label in a.delta_high[k].items():
-            if deep(src) or deep(label) or any(deep(t) for t in targets):
-                continue
-            out.add_high_transition(src, targets, label=label)
-    for src, slots in a.delta1.items():
-        if deep(src):
-            continue
-        for (letter, branch, targets) in slots:
-            if any(deep(x) for x in branch | targets):
-                continue
-            out.add_delta1(src, letter, branch, targets)
+    kept = copy_into(out, a, lambda s: s if a.layers.get(s, 1) < window else None)
     out.controls = dict(a.controls)
-    out.layer_controls = {
-        k: v for k, v in a.layer_controls.items() if not deep(v)
-    }
-    for s in out.layer_controls.values():
-        out.add_state(s, layer=a.layers.get(s))
+    out.layer_controls = {k: v for k, v in a.layer_controls.items() if v in kept}
     out._fresh = a._fresh
     return out
 

@@ -233,7 +233,7 @@ def format_run(run) -> list:
 
 
 def result_document(command: str, verdict: str, statistics: dict,
-                    witness=None, config_set=None, automaton=None) -> dict:
+                    witness=None, config_set=None) -> dict:
     doc = {
         "schema": RESULT_SCHEMA,
         "command": command,
@@ -244,8 +244,6 @@ def result_document(command: str, verdict: str, statistics: dict,
         doc["witness"] = witness
     if config_set is not None:
         doc["set"] = config_set
-    if automaton is not None:
-        doc["automaton"] = automaton
     return doc
 
 

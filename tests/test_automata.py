@@ -16,7 +16,7 @@ from cpds import (
     mk_stack,
     union,
 )
-from cpds.automata import bottom_automaton
+from cpds.automata import copy_into
 from cpds.oracle import enumerate_stacks
 from cpds.scopes import layered_seed
 
@@ -246,9 +246,86 @@ def test_canonical_key_ignores_fresh_numbering():
 def test_saturation_preconditions():
     from cpds import PreconditionViolation
 
-    a = bottom_automaton(2, {"a"}, ["q"])
+    a = exact_stack_automaton(2, {"a"}, {"q": [bottom(2)]})
     a.check_saturation_preconditions()
     bad = a.copy()
     bad.add_state(bad.require_control("q"), final=True)
     with pytest.raises(PreconditionViolation):
         bad.check_saturation_preconditions()
+
+
+def _hand_built():
+    """Order 2: ``p`` reads ``r`` and ``r`` reads the final ``f``; the
+    order-1 label of ``p`` needs an annotation accepted from ``b``, which
+    nothing else reaches; ``o1 --a--> o2`` is an orphaned chain."""
+    a = StackAutomaton(2, {"a"})
+    p, r, f = (State(2, (n,)) for n in "prf")
+    lp, lr, x, b, o1, o2 = (State(1, (n,)) for n in ("lp", "lr", "x", "b", "o1", "o2"))
+    a.remap_control("p", p, layer=1)
+    a.add_state(r, layer=2)
+    a.add_state(f, final=True)
+    a.add_state(x, final=True)
+    a.add_state(o2, final=True, layer=1)
+    a.add_high_transition(p, [r], label=a.add_state(lp, layer=1))
+    a.add_high_transition(r, [f], label=a.add_state(lr, layer=2))
+    a.add_delta1(lp, "a", [b], [x])
+    a.add_delta1(lr, "a", [], [x])
+    a.add_delta1(b, "a", [], [x])
+    a.add_delta1(o1, "a", [], [o2])
+    return a
+
+
+def _transitions(a):
+    """Each transition with the states it names: source, label or
+    branch members, and targets."""
+    out = {}
+    for k in range(2, a.order + 1):
+        for (src, targets), label in a.delta_high[k].items():
+            out[(src, targets, label)] = {src, label, *targets}
+    for src, slots in a.delta1.items():
+        for (letter, branch, targets) in slots:
+            out[(src, letter, branch, targets)] = {src, *branch, *targets}
+    return out
+
+
+def _all_states(a):
+    return {s for k in a.states for s in a.states[k]}
+
+
+def test_copy_into_drops_exactly_what_names_a_dropped_state():
+    a = _hand_built()
+    for drop in _all_states(a):
+        out = StackAutomaton(2, a.alphabet)
+        kept = copy_into(out, a, lambda s: None if s == drop else s)
+        assert set(kept) == _all_states(out) == _all_states(a) - {drop}
+        assert set(_transitions(out)) == {
+            t for t, named in _transitions(a).items() if drop not in named
+        }
+
+
+def test_copy_into_keeps_finals_and_lifts_layers():
+    a = _hand_built()
+    out = StackAutomaton(2, a.alphabet)
+    kept = copy_into(out, a, lambda s: State(s.order, ("c",) + s.name), lift=1)
+    assert set(kept) == _all_states(a)
+    for s, t in kept.items():
+        assert t.name == ("c",) + s.name
+        assert (t in out.finals[t.order]) == (s in a.finals[s.order])
+        assert out.layers.get(t) == (None if s not in a.layers else a.layers[s] + 1)
+    assert len(_transitions(out)) == len(_transitions(a))
+
+
+def test_pruned_keeps_what_top_order_states_reach():
+    a = _hand_built()
+    out = a.pruned()
+    names = {s.name[0] for s in _all_states(out)}
+    # b is reached only through lp's branch set; o1 and o2 are orphaned
+    assert names == {"p", "r", "f", "lp", "lr", "x", "b"}
+    assert set(_transitions(out)) == {
+        t for t, named in _transitions(a).items() if State(1, ("o1",)) not in named
+    }
+    assert out.layer_controls == a.layer_controls
+    # the annotation of the top character is read from b
+    for w, want in ((s2(s1(("a", s1("a"))), s1("a")), True),
+                    (s2(s1("a"), s1("a")), False)):
+        assert out.member("p", w, layer=1) == a.member("p", w, layer=1) == want

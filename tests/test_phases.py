@@ -52,6 +52,16 @@ def test_phase_branching_budget_names_limit_and_count(monkeypatch):
         phase_global(fix_ph(), 2, "p4")
 
 
+def test_product_transition_budget_names_limit_and_count(monkeypatch):
+    monkeypatch.setattr(cpds.phases, "_MAX_PRODUCT_TRANSITIONS", 1)
+    pattern = (r"saturation transition cap exceeded: "
+               r"3 transitions added, limit 1$")
+    with pytest.raises(BudgetExceeded, match=pattern):
+        phase_reachability(fix_ph(), 2, "p0", "p4")
+    with pytest.raises(BudgetExceeded, match=pattern):
+        phase_global(fix_ph(), 2, "p4")
+
+
 def test_pbcpds_rule_families():
     from cpds.automata import accept_all_automaton
 
