@@ -36,8 +36,6 @@ from .stacks import (
     encode_full,
     erase_rounds,
     mk_char,
-    mk_rchar,
-    mk_rstack,
     mk_stack,
     noop,
     pop,

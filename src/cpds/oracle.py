@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 
 from . import stacks as ST
 from . import systems as SY
-from .errors import ArityMismatch
+from .errors import ArityMismatch, UndefinedOperation, UndefinedTop
 from .stacks import BOTTOM
 
 __all__ = [
@@ -82,11 +84,26 @@ def explore(sys: SY.Mcpds, start: SY.Configuration | None = None,
     if len(start.stacks) != sys.stacks:
         raise ArityMismatch("start configuration arity mismatch")
     mode = sys.mode
-    if isinstance(mode, tuple) and mode[0] == "scope":
-        return _explore_scope(sys, start, mode[1], bounds)
-    if isinstance(mode, tuple) and mode[0] == "phase":
-        return _explore_phase(sys, start, mode[1], bounds)
-    return _explore_plain(sys, start, bounds, extended)
+    kind = mode[0] if isinstance(mode, tuple) else None
+    if kind == "scope":
+        # search state: (control, stacks with age tags, current segment)
+        init = (start.control, tuple(ST.tag_rounds(w, 1) for w in start.stacks), 0)
+        successors = partial(_scope_successors, sys, mode[1])
+        config_of = _scope_config
+    elif kind == "phase":
+        # search state: (configuration, phases used, consuming stack of the phase)
+        init = (start, 1, None)
+        successors = partial(_phase_successors, sys, mode[1])
+        config_of = itemgetter(0)
+    else:
+        init = start
+        successors = partial(SY.ecpds_step if extended else SY.step, sys)
+        config_of = _same
+    return _bfs(init, start, successors, config_of, bounds)
+
+
+def _same(cfg):
+    return cfg
 
 
 def _run_from(parents, key, start_cfg):
@@ -99,31 +116,37 @@ def _run_from(parents, key, start_cfg):
     return SY.Run(start_cfg, steps)
 
 
-def _explore_plain(sys, start, bounds, extended):
+def _bfs(init, start, successors, config_of, bounds):
+    """Layered BFS from search state ``init``, which stands for ``start``.
+
+    ``successors(state)`` yields ``(rule, stack index, state)`` in stack,
+    then rule order; ``config_of(state)`` is the plain configuration a
+    state stands for, built only for states not seen before.
+    """
     res = ExploreResult()
-    parents = {start: None}
-    res.witnesses[start.control] = _run_from(parents, start, start)
-    frontier = [start]
+    parents = {init: None}
+    res.witnesses[start.control] = _run_from(parents, init, start)
+    frontier = [init]
     depth = 0
-    stepper = SY.ecpds_step if extended else SY.step
     while frontier:
         if depth >= bounds.max_steps:
             res.closed = False
             break
         nxt = []
-        for cfg in frontier:
-            for (rule, idx, succ) in stepper(sys, cfg):
+        for state in frontier:
+            for (rule, idx, succ) in successors(state):
                 if succ in parents:
                     continue
-                if _cfg_size(succ.stacks) > bounds.max_stack_size:
+                cfg = config_of(succ)
+                if _cfg_size(cfg.stacks) > bounds.max_stack_size:
                     res.closed = False
                     continue
                 if len(parents) >= bounds.max_configs:
                     res.closed = False
                     break
-                parents[succ] = (cfg, rule, idx, succ)
-                if succ.control not in res.witnesses:
-                    res.witnesses[succ.control] = _run_from(parents, succ, start)
+                parents[succ] = (state, rule, idx, cfg)
+                if cfg.control not in res.witnesses:
+                    res.witnesses[cfg.control] = _run_from(parents, succ, start)
                 nxt.append(succ)
         frontier = nxt
         depth += 1
@@ -136,7 +159,7 @@ def _bump_ages(w, zeta):
     cap = zeta + 1
     if w.order == 1:
         entries = tuple(
-            ST.mk_rchar(
+            ST.mk_char(
                 c.letter,
                 None if c.ann is None else _bump_ages(c.ann, zeta),
                 min(c.pr + 1, cap),
@@ -146,7 +169,7 @@ def _bump_ages(w, zeta):
         )
     else:
         entries = tuple(_bump_ages(u, zeta) for u in w.entries)
-    return ST.mk_rstack(w.order, entries, min(w.pr + 1, cap))
+    return ST.mk_stack(w.order, entries, min(w.pr + 1, cap))
 
 
 def _scope_op_allowed(op, w, zeta) -> bool:
@@ -162,98 +185,40 @@ def _scope_op_allowed(op, w, zeta) -> bool:
     return True
 
 
-def _explore_scope(sys, start, zeta, bounds):
-    res = ExploreResult()
-    # search state: (control, tagged stacks with age tags, current segment)
-    tagged = tuple(ST.tag_rounds(w, 1) for w in start.stacks)
-    init = (start.control, tagged, 0)
-    parents = {init: None}
-    res.witnesses[start.control] = _run_from(parents, init, start)
-    frontier = [init]
-    depth = 0
-    while frontier:
-        if depth >= bounds.max_steps:
-            res.closed = False
-            break
-        nxt = []
-        for state in frontier:
-            control, stacks, seg = state
-            for i in range(sys.stacks):
-                cur = stacks if i >= seg else tuple(_bump_ages(w, zeta) for w in stacks)
-                for r in sys.rule_sets[i]:
-                    if r.src != control or ST.top1(cur[i]) != r.letter:
-                        continue
-                    if not _scope_op_allowed(r.op, cur[i], zeta):
-                        continue
-                    try:
-                        w2 = ST.apply_op_rounded(r.op, cur[i], 0)
-                    except Exception:
-                        continue
-                    stacks2 = cur[:i] + (w2,) + cur[i + 1:]
-                    succ = (r.dst, stacks2, i)
-                    if succ in parents:
-                        continue
-                    plain = SY.Configuration(
-                        r.dst, tuple(ST.erase_rounds(w) for w in stacks2)
-                    )
-                    if _cfg_size(plain.stacks) > bounds.max_stack_size:
-                        res.closed = False
-                        continue
-                    if len(parents) >= bounds.max_configs:
-                        res.closed = False
-                        break
-                    parents[succ] = (state, r, i, plain)
-                    if r.dst not in res.witnesses:
-                        res.witnesses[r.dst] = _run_from(parents, succ, start)
-                    nxt.append(succ)
-        frontier = nxt
-        depth += 1
-    res.visited = len(parents)
-    return res
+def _scope_successors(sys, zeta, state):
+    control, stacks, seg = state
+    for i in range(sys.stacks):
+        cur = stacks if i >= seg else tuple(_bump_ages(w, zeta) for w in stacks)
+        for r in sys.rule_sets[i]:
+            if r.src != control or ST.top1(cur[i]) != r.letter:
+                continue
+            if not _scope_op_allowed(r.op, cur[i], zeta):
+                continue
+            try:
+                w2 = ST.apply_op_rounded(r.op, cur[i], 0)
+            except (UndefinedOperation, UndefinedTop):
+                continue
+            yield r, i, (r.dst, cur[:i] + (w2,) + cur[i + 1:], i)
 
 
-def _explore_phase(sys, start, z, bounds):
-    res = ExploreResult()
-    # search state: (configuration, phases used, consuming stack of the phase)
-    init = (start, 1, None)
-    parents = {init: None}
-    res.witnesses[start.control] = _run_from(parents, init, start)
-    frontier = [init]
-    depth = 0
-    while frontier:
-        if depth >= bounds.max_steps:
-            res.closed = False
-            break
-        nxt = []
-        for state in frontier:
-            cfg, used, popping = state
-            for (rule, idx, succ_cfg) in SY.step(sys, cfg):
-                used2, popping2 = used, popping
-                if rule.consuming:
-                    if popping is None:
-                        popping2 = idx
-                    elif popping != idx:
-                        used2 = used + 1
-                        popping2 = idx
-                        if used2 > z:
-                            continue
-                succ = (succ_cfg, used2, popping2)
-                if succ in parents:
+def _scope_config(state):
+    control, stacks, _seg = state
+    return SY.Configuration(control, tuple(ST.erase_rounds(w) for w in stacks))
+
+
+def _phase_successors(sys, z, state):
+    cfg, used, popping = state
+    for (rule, idx, succ_cfg) in SY.step(sys, cfg):
+        used2, popping2 = used, popping
+        if rule.consuming:
+            if popping is None:
+                popping2 = idx
+            elif popping != idx:
+                used2 = used + 1
+                popping2 = idx
+                if used2 > z:
                     continue
-                if _cfg_size(succ_cfg.stacks) > bounds.max_stack_size:
-                    res.closed = False
-                    continue
-                if len(parents) >= bounds.max_configs:
-                    res.closed = False
-                    break
-                parents[succ] = (state, rule, idx, succ_cfg)
-                if succ_cfg.control not in res.witnesses:
-                    res.witnesses[succ_cfg.control] = _run_from(parents, succ, start)
-                nxt.append(succ)
-        frontier = nxt
-        depth += 1
-    res.visited = len(parents)
-    return res
+        yield rule, idx, (succ_cfg, used2, popping2)
 
 
 def control_reachability_oracle(sys, q_in, q_out,

@@ -27,6 +27,7 @@ control, whose recursive global solution is spliced back stack by stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import stacks as ST
 from .automata import (
@@ -167,30 +168,22 @@ def _require_normalized(sys: Mcpds):
 # ---------------------------------------------------------------------------
 
 
-class _ProductSource:
-    """Lazy rule source for the langcheck product, enumerated backward.
+def _product_rules(left: LeftCpda, aut: StackAutomaton, dst):
+    """The langcheck product's ``(stack_index, Rule)`` pairs into ``dst``.
 
-    Controls are ``(control, long-form)`` pairs plus whatever entry/exit
-    sentinels the caller installs; the product steps simultaneously in the
-    left automaton (its tracked letter is the long-form's letter) and in
-    the transition automaton over ``aut``.
+    Controls are ``(control, long-form)`` pairs; the product steps
+    simultaneously in the left automaton (its tracked letter is the
+    long-form's letter) and in the transition automaton over ``aut``.
     """
-
-    def __init__(self, left: LeftCpda, aut: StackAutomaton):
-        self.left = left
-        self.aut = aut
-        self.extra_into = {}  # control -> list of (stack_index, Rule)
-
-    def rules_into(self, dst):
-        out = list(self.extra_into.get(flat_key(dst), ()))
-        if _is_product_control(dst):
-            q2, t2 = dst
-            for j in range(self.left.stacks):
-                for cr in self.left.rules_into_pair(j, (q2, t2.letter)):
-                    for t1 in ta_predecessors(cr.inp, t2, self.aut):
-                        src = (cr.src[0], t1)
-                        out.append((j, Rule(src, cr.letter, cr.op, dst)))
-        return out
+    out = []
+    if _is_product_control(dst):
+        q2, t2 = dst
+        for j in range(left.stacks):
+            for cr in left.rules_into_pair(j, (q2, t2.letter)):
+                for t1 in ta_predecessors(cr.inp, t2, aut):
+                    src = (cr.src[0], t1)
+                    out.append((j, Rule(src, cr.letter, cr.op, dst)))
+    return out
 
 
 def _is_product_control(ctl) -> bool:
@@ -198,28 +191,30 @@ def _is_product_control(ctl) -> bool:
     return isinstance(ctl, tuple) and len(ctl) == 2 and isinstance(ctl[1], LongForm)
 
 
-def _materialize(source, order, alphabet, stacks, seeds) -> Mcpds:
-    """Backward closure of a lazy multi-stack rule source into an Mcpds."""
-    controls = {}
-    for s in seeds:
-        controls[flat_key(s)] = s
+def _materialize(rules_into, order, alphabet, stacks, seeds) -> Mcpds:
+    """Backward closure of a lazy multi-stack rule source into an Mcpds.
+
+    ``rules_into(dst)`` lists the ``(stack_index, Rule)`` pairs into
+    ``dst``.  Controls are keyed by themselves: product controls are tuples
+    of strings, states and long forms, whose equality is content equality.
+    """
+    controls = dict.fromkeys(seeds)
     queue = list(seeds)
     rule_sets = [[] for _ in range(stacks)]
     while queue:
         dst = queue.pop(0)
-        for (j, rule) in source.rules_into(dst):
+        for (j, rule) in rules_into(dst):
             rule_sets[j].append(rule)
-            k = flat_key(rule.src)
-            if k not in controls:
+            if rule.src not in controls:
                 if len(controls) >= _MAX_PRODUCT_CONTROLS:
                     raise BudgetExceeded(
                         f"product control budget exceeded: "
                         f"{len(controls) + 1} controls, "
                         f"limit {_MAX_PRODUCT_CONTROLS}"
                     )
-                controls[k] = rule.src
+                controls[rule.src] = None
                 queue.append(rule.src)
-    return Mcpds(order, alphabet, list(controls.values()),
+    return Mcpds(order, alphabet, list(controls),
                  [set(rs) for rs in rule_sets], "ordered")
 
 
@@ -236,14 +231,16 @@ def build_langcheckcpds(left: LeftCpda, aut: StackAutomaton, t: LongForm,
     q1 = state_control(t.head)
     q2 = state_control(tprime.head)
     enter, leave = ("enter",), ("exit",)
-    src = _ProductSource(left, aut)
-    src.extra_into[flat_key(leave)] = [
-        (stack_index, Rule((q2, tprime), BOTTOM, ST.noop(), leave))
-    ]
-    src.extra_into[flat_key((q1, t))] = [
-        (stack_index, Rule(enter, BOTTOM, ST.push(push_letter, left.order), (q1, t)))
-    ]
-    sysm = _materialize(src, left.order, left.alphabet, left.stacks, [leave])
+    sentinels = {
+        leave: [(stack_index, Rule((q2, tprime), BOTTOM, ST.noop(), leave))],
+        (q1, t): [(stack_index,
+                   Rule(enter, BOTTOM, ST.push(push_letter, left.order), (q1, t)))],
+    }
+
+    def rules_into(dst):
+        return sentinels.get(dst, []) + _product_rules(left, aut, dst)
+
+    sysm = _materialize(rules_into, left.order, left.alphabet, left.stacks, [leave])
     return sysm, enter, leave
 
 
@@ -350,10 +347,9 @@ class OrderedSolver:
             return hit
         self.stats["product_solves"] += 1
         q2 = state_control(tprime.head)
-        src = _ProductSource(left, aut)
         target = (q2, tprime)
-        sysm = _materialize(src, left.order, left.alphabet, left.stacks,
-                            [target])
+        sysm = _materialize(partial(_product_rules, left, aut), left.order,
+                            left.alphabet, left.stacks, [target])
         if sysm.stacks > 1:
             sysm = normalize_ordered(sysm)
         gset = left.gset_memo[key] = self.empty_global(sysm, target,

@@ -218,8 +218,7 @@ class _PhaseSolver:
                     root_j = self._fresh_ctl(a2, q_prev)
                     a2.add_long_form(x.rehead(root_j))
                     new_autos[j] = a2
-                if set(new_autos) == set(range(m)):
-                    yield new_autos
+                yield new_autos
 
     def _admissible_entries(self, sat: StackAutomaton, q_prev):
         out = []

@@ -7,12 +7,14 @@ and retrieved by ``collapse``.  Stacks are immutable and hash-consed, so
 structural sharing (copies, annotations) costs one reference and equality is
 pointer comparison on the canonical representative.
 
-Two value families live here:
-
-* :class:`Stack` / :class:`Char` -- plain annotated stacks.
-* :class:`RStack` / :class:`RChar` -- the same shapes with round tags: every
-  substack carries a pop-round, every character a (pop-round, collapse-round)
-  pair.  These drive the scope-bounded run validator.
+One value family lives here, :class:`Stack` / :class:`Char`, with optional
+round tags: on a rounded stack every substack carries a pop-round ``pr`` and
+every character a (pop-round, collapse-round) pair ``pr``/``cr``.  A plain
+stack has all tags ``None``.  Tags take part in equality and interning, so a
+rounded stack never equals its plain content.  Rounded stacks drive the
+scope-bounded run validator and the scope oracle.  Of the operations here,
+only :func:`tag_rounds`, :func:`erase_rounds` and :func:`apply_op_rounded`
+set or clear tags; the others keep the tags of their input.
 
 Textual encoding (``encode`` / ``decode``)
 ------------------------------------------
@@ -48,59 +50,11 @@ BOTTOM = "_"
 
 
 class Char:
-    """An order-1 stack entry: a letter with an optional annotation stack."""
+    """An order-1 stack entry: a letter with an optional annotation stack.
 
-    __slots__ = ("letter", "ann", "_hash")
-
-    def __init__(self, letter, ann, _hash):
-        self.letter = letter
-        self.ann = ann
-        self._hash = _hash
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Char)
-            and self.letter == other.letter
-            and self.ann == other.ann
-        )
-
-    def __repr__(self):
-        return f"Char({self.letter!r})" if self.ann is None else f"Char({self.letter!r}^{self.ann!r})"
-
-
-class Stack:
-    """An immutable order-k stack; ``entries`` holds substacks or chars."""
-
-    __slots__ = ("order", "entries", "_hash")
-
-    def __init__(self, order, entries, _hash):
-        self.order = order
-        self.entries = entries
-        self._hash = _hash
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Stack)
-            and self.order == other.order
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"Stack{self.order}{list(self.entries)!r}"
-
-
-class RChar:
-    """A character with pop-round ``pr`` and collapse-round ``cr`` tags."""
+    ``pr``/``cr`` are the pop-round and collapse-round tags, ``None`` on a
+    plain stack.
+    """
 
     __slots__ = ("letter", "ann", "pr", "cr", "_hash")
 
@@ -118,7 +72,7 @@ class RChar:
         if self is other:
             return True
         return (
-            isinstance(other, RChar)
+            isinstance(other, Char)
             and self.letter == other.letter
             and self.pr == other.pr
             and self.cr == other.cr
@@ -126,11 +80,16 @@ class RChar:
         )
 
     def __repr__(self):
-        return f"RChar({self.letter!r},pr={self.pr},cr={self.cr})"
+        tags = "" if self.pr is None else f",pr={self.pr},cr={self.cr}"
+        ann = "" if self.ann is None else f"^{self.ann!r}"
+        return f"Char({self.letter!r}{ann}{tags})"
 
 
-class RStack:
-    """An order-k stack with a pop-round tag ``pr``."""
+class Stack:
+    """An immutable order-k stack; ``entries`` holds substacks or chars.
+
+    ``pr`` is the pop-round tag, ``None`` on a plain stack.
+    """
 
     __slots__ = ("order", "entries", "pr", "_hash")
 
@@ -147,14 +106,15 @@ class RStack:
         if self is other:
             return True
         return (
-            isinstance(other, RStack)
+            isinstance(other, Stack)
             and self.order == other.order
             and self.pr == other.pr
             and self.entries == other.entries
         )
 
     def __repr__(self):
-        return f"RStack{self.order}(pr={self.pr}){list(self.entries)!r}"
+        tags = "" if self.pr is None else f"(pr={self.pr})"
+        return f"Stack{self.order}{tags}{list(self.entries)!r}"
 
 
 # Interning.  The table is the only shared mutable structure; guarded by a
@@ -172,41 +132,17 @@ def _canon(key, build):
         return hit
 
 
-def mk_char(letter: str, ann: Stack | None = None) -> Char:
-    key = ("c", letter, ann)
+def mk_char(letter: str, ann: Stack | None = None, pr=None, cr=None) -> Char:
+    key = ("c", letter, ann, pr, cr)
     h = hash(key)
-    return _canon(key, lambda: Char(letter, ann, h))
+    return _canon(key, lambda: Char(letter, ann, pr, cr, h))
 
 
-def mk_stack(order: int, entries) -> Stack:
+def mk_stack(order: int, entries, pr=None) -> Stack:
     entries = tuple(entries)
-    key = ("s", order, entries)
+    key = ("s", order, entries, pr)
     h = hash(key)
-    return _canon(key, lambda: Stack(order, entries, h))
-
-
-def mk_rchar(letter: str, ann: RStack | None, pr: int, cr: int) -> RChar:
-    key = ("rc", letter, ann, pr, cr)
-    h = hash(key)
-    return _canon(key, lambda: RChar(letter, ann, pr, cr, h))
-
-
-def mk_rstack(order: int, entries, pr: int) -> RStack:
-    entries = tuple(entries)
-    key = ("rs", order, entries, pr)
-    h = hash(key)
-    return _canon(key, lambda: RStack(order, entries, pr, h))
-
-
-def is_rounded(w) -> bool:
-    return isinstance(w, (RStack, RChar))
-
-
-def _mk(template, order, entries, pr=0):
-    """Rebuild a stack node of the same flavour as ``template``."""
-    if isinstance(template, RStack):
-        return mk_rstack(order, entries, pr)
-    return mk_stack(order, entries)
+    return _canon(key, lambda: Stack(order, entries, pr, h))
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +158,19 @@ def bottom(order: int) -> Stack:
     return w
 
 
-def tag_rounds(w: Stack, pr: int = 0) -> RStack:
+def tag_rounds(w: Stack, pr: int = 0) -> Stack:
     """Lift a plain stack to a rounded stack, every tag set to ``pr``."""
     if w.order == 1:
         entries = tuple(
-            mk_rchar(c.letter, None if c.ann is None else tag_rounds(c.ann, pr), pr, pr)
+            mk_char(c.letter, None if c.ann is None else tag_rounds(c.ann, pr), pr, pr)
             for c in w.entries
         )
     else:
         entries = tuple(tag_rounds(u, pr) for u in w.entries)
-    return mk_rstack(w.order, entries, pr)
+    return mk_stack(w.order, entries, pr)
 
 
-def erase_rounds(w: RStack) -> Stack:
+def erase_rounds(w: Stack) -> Stack:
     """Forget all round tags."""
     if w.order == 1:
         entries = tuple(
@@ -248,7 +184,7 @@ def erase_rounds(w: RStack) -> Stack:
 
 def tree_size(w) -> int:
     """Number of nodes: one per stack, one per character plus its annotation."""
-    if isinstance(w, (Char, RChar)):
+    if isinstance(w, Char):
         return 1 + (0 if w.ann is None else tree_size(w.ann))
     return 1 + sum(tree_size(e) for e in w.entries)
 
@@ -279,7 +215,7 @@ def top(k: int, w):
     if cur.entries:
         return cur.entries[0]
     if k >= 2:
-        return _mk(cur, k - 1, ())
+        return mk_stack(k - 1, (), cur.pr)
     raise UndefinedTop("top_1 of an empty order-1 stack")
 
 
@@ -310,7 +246,7 @@ def split(k: int, w):
         if not w.entries:
             return None
         u = w.entries[0]
-        v = _mk(w, w.order, w.entries[1:], getattr(w, "pr", 0))
+        v = mk_stack(w.order, w.entries[1:], w.pr)
         return u, v
     if not w.entries:
         return None
@@ -318,22 +254,22 @@ def split(k: int, w):
     if inner is None:
         return None
     u, v0 = inner
-    return u, _mk(w, w.order, (v0,) + w.entries[1:], getattr(w, "pr", 0))
+    return u, mk_stack(w.order, (v0,) + w.entries[1:], w.pr)
 
 
 def compose(u, k: int, v):
     """Place ``u`` (order k-1, or a character for k = 1) on top of ``v``."""
-    uord = 0 if isinstance(u, (Char, RChar)) else u.order
+    uord = 0 if isinstance(u, Char) else u.order
     if uord != k - 1:
         raise OrderMismatch(f"compose expects an order-{k - 1} item, got order {uord}")
     if v.order < k:
         raise OrderMismatch(f"compose_{k} into an order-{v.order} stack")
     if v.order == k:
-        return _mk(v, k, (u,) + v.entries, getattr(v, "pr", 0))
+        return mk_stack(k, (u,) + v.entries, v.pr)
     if not v.entries:
         raise UndefinedOperation(f"compose_{k}: empty enclosing order-{v.order} stack")
     head = compose(u, k, v.entries[0])
-    return _mk(v, v.order, (head,) + v.entries[1:], getattr(v, "pr", 0))
+    return mk_stack(v.order, (head,) + v.entries[1:], v.pr)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +360,7 @@ def apply_op(op: Op, w):
         c, v = r
         if c.letter == BOTTOM:
             raise UndefinedOperation("cannot rewrite the bottom symbol")
-        return compose(_same_char(c, op.letter), 1, v)
+        return compose(mk_char(op.letter, c.ann, c.pr, c.cr), 1, v)
     if kind == "copy":
         k = op.k
         if not 2 <= k <= n:
@@ -451,12 +387,6 @@ def _top_sequence(w, k):
     return cur.entries
 
 
-def _same_char(c, letter):
-    if isinstance(c, RChar):
-        return mk_rchar(letter, c.ann, c.pr, c.cr)
-    return mk_char(letter, c.ann)
-
-
 def _apply_push(op: Op, w, z: int | None = None):
     n = w.order
     k = op.k
@@ -466,25 +396,16 @@ def _apply_push(op: Op, w, z: int | None = None):
         raise UndefinedOperation(f"push^{k} on an order-{n} stack")
     if top1(w) is None:
         raise UndefinedOperation("push on a stack without top character")
-    rounded = isinstance(w, RStack)
     if k == 1:
         # extension: order-1 push attaches no annotation
-        if rounded:
-            ch = mk_rchar(op.letter, None, z, z)
-        else:
-            ch = mk_char(op.letter, None)
-        return compose(ch, 1, w)
+        return compose(mk_char(op.letter, None, z, z), 1, w)
     r = split(k, w)
     if r is None:
         raise UndefinedOperation(f"push^{k}: no top order-{k - 1} stack")
     u, v = r
     ann = v if k == n else top(k + 1, v)
-    if rounded:
-        cr = u.pr  # collapse-round: pop-round of top_k(w)
-        ch = mk_rchar(op.letter, ann, z, cr)
-    else:
-        ch = mk_char(op.letter, ann)
-    return compose(ch, 1, w)
+    # collapse-round: pop-round of top_k(w)
+    return compose(mk_char(op.letter, ann, z, u.pr), 1, w)
 
 
 def _apply_collapse(op: Op, w):
@@ -510,7 +431,7 @@ def _apply_collapse(op: Op, w):
     return compose(c.ann, k + 1, v)
 
 
-def apply_op_rounded(op: Op, w: RStack, z: int):
+def apply_op_rounded(op: Op, w: Stack, z: int):
     """Apply ``op`` in round ``z``, with the pop-/collapse-round bookkeeping.
 
     The stack content matches :func:`apply_op` after erasing tags; copies are
@@ -528,7 +449,7 @@ def apply_op_rounded(op: Op, w: RStack, z: int):
         if r is None:
             raise UndefinedOperation(f"copy{k}: no top order-{k - 1} stack")
         u, v = r
-        fresh = mk_rstack(u.order, u.entries, z)
+        fresh = mk_stack(u.order, u.entries, z)
         return compose(fresh, k, compose(u, k, v))
     if kind == "push":
         return _apply_push(op, w, z)
@@ -539,21 +460,6 @@ def apply_op_rounded(op: Op, w: RStack, z: int):
 # ---------------------------------------------------------------------------
 # Structural checks
 # ---------------------------------------------------------------------------
-
-
-def check_wellformed(w, order: int, alphabet=None) -> None:
-    """Assert structural sanity: orders line up and letters are declared."""
-    if w.order != order:
-        raise OrderMismatch(f"expected order {order}, got {w.order}")
-    if w.order == 1:
-        for c in w.entries:
-            if alphabet is not None and c.letter not in alphabet and c.letter != BOTTOM:
-                raise UndefinedOperation(f"undeclared letter {c.letter!r}")
-            if c.ann is not None:
-                check_wellformed(c.ann, c.ann.order, alphabet)
-    else:
-        for u in w.entries:
-            check_wellformed(u, order - 1, alphabet)
 
 
 def bottom_disciplined(w) -> bool:

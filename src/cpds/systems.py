@@ -22,7 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import stacks as ST
-from .errors import ArityMismatch, NotNormalized, NotRoundPartitionable, OrderMismatch
+from .errors import (
+    ArityMismatch,
+    NotNormalized,
+    NotRoundPartitionable,
+    OrderMismatch,
+    UndefinedOperation,
+    UndefinedTop,
+)
 from .stacks import BOTTOM, Op
 
 __all__ = [
@@ -192,22 +199,13 @@ def initial_configuration(sys: Mcpds) -> Configuration:
     return Configuration(sys.controls[0], tuple(ST.bottom(sys.order) for _ in range(sys.stacks)))
 
 
-def configuration(sys: Mcpds, control, stacks) -> Configuration:
-    stacks = tuple(stacks)
-    if len(stacks) != sys.stacks:
-        raise ArityMismatch(f"expected {sys.stacks} stacks, got {len(stacks)}")
-    return Configuration(control, stacks)
-
-
 # ---------------------------------------------------------------------------
 # Concrete step relation
 # ---------------------------------------------------------------------------
 
 
 def _stack_empty(w) -> bool:
-    return w == ST.bottom(w.order) or (
-        ST.is_rounded(w) and ST.erase_rounds(w) == ST.bottom(w.order)
-    )
+    return w == ST.bottom(w.order)
 
 
 def rule_applies(sys: Mcpds, c: Configuration, i: int, r: Rule) -> bool:
@@ -220,7 +218,7 @@ def rule_applies(sys: Mcpds, c: Configuration, i: int, r: Rule) -> bool:
 def apply_rule(c: Configuration, i: int, r: Rule) -> Configuration | None:
     try:
         w = ST.apply_op(r.op, c.stacks[i])
-    except Exception:
+    except (UndefinedOperation, UndefinedTop):
         return None
     stacks = c.stacks[:i] + (w,) + c.stacks[i + 1:]
     return Configuration(r.dst, stacks)
@@ -260,7 +258,7 @@ def apply_word(stack, word):
             return None
         try:
             cur = ST.apply_op(r.op, cur)
-        except Exception:
+        except (UndefinedOperation, UndefinedTop):
             return None
         prev_dst = r.dst
     return cur

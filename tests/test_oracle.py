@@ -1,3 +1,5 @@
+import pytest
+
 import cpds.stacks as ST
 from cpds import (
     Mcpds,
@@ -47,6 +49,40 @@ def test_budget_exhaustion_is_not_a_negative():
     v = control_reachability_oracle(sysd, "p", "z", ExploreBounds(5, 10, 50))
     assert v.kind == "unreachable-within-bounds"
     assert not v.definitely_unreachable
+
+
+def _two_stack_pusher():
+    rules = [Rule("p", "_", ST.push("a", 2), "p"), Rule("p", "a", ST.push("a", 2), "p"),
+             Rule("p", "a", ST.pop(1), "q")]
+    return Mcpds(2, {"a"}, ["p", "q"], [list(rules), list(rules)], "unrestricted")
+
+
+@pytest.mark.parametrize("mode, valid", [
+    ("unrestricted", lambda run: True),
+    (("scope", 2), lambda run: validate_scope(run, 2)),
+    (("phase", 2), lambda run: validate_phase(run, 2)),
+], ids=["unrestricted", "scope", "phase"])
+def test_budget_stop_in_every_mode(mode, valid):
+    sysd = _two_stack_pusher()
+    res = explore(sysd.with_mode(mode), bounds=ExploreBounds(40, 60, 25))
+    assert not res.closed
+    assert res.visited == 25
+    assert set(res.witnesses) == {"p", "q"}
+    for run in res.witnesses.values():
+        assert replay(sysd, run) and valid(run)
+
+
+@pytest.mark.parametrize("mode, name", [
+    ("unrestricted", "apply_op"),
+    (("scope", 2), "apply_op_rounded"),
+], ids=["unrestricted", "scope"])
+def test_programming_errors_are_not_a_blocked_rule(monkeypatch, mode, name):
+    def broken(*args):
+        raise TypeError("broken operation")
+
+    monkeypatch.setattr(ST, name, broken)
+    with pytest.raises(TypeError):
+        explore(_two_stack_pusher().with_mode(mode), bounds=ExploreBounds(5, 20, 50))
 
 
 def test_scope_oracle_matches_validator():

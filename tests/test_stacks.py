@@ -111,7 +111,7 @@ def test_bottom_protection():
 def test_rounded_copy_tags():
     u = s1("a", "b")
     w = tag_rounds(s2(u), 0)
-    w = ST.mk_rstack(2, (ST.mk_rstack(1, w.entries[0].entries, 2),), 0)
+    w = mk_stack(2, (mk_stack(1, w.entries[0].entries, 2),), 0)
     out = apply_op_rounded(ST.copy(2), w, 3)
     assert out.entries[0].pr == 3
     assert out.entries[1].pr == 2
@@ -149,6 +149,32 @@ def test_rounded_erase_matches_plain():
                 assert erase_rounds(rounded) == plain
                 checked += 1
     assert checked > 50
+
+
+def _tags(w):
+    """Every round tag in the tree of ``w``, annotations included."""
+    if isinstance(w, ST.Char):
+        return [w.pr, w.cr] + ([] if w.ann is None else _tags(w.ann))
+    return [w.pr] + [t for e in w.entries for t in _tags(e)]
+
+
+def test_round_tags_keep_rounded_and_plain_stacks_apart():
+    pool = enumerate_stacks(2, {"a", "b"}, 7)
+    ops = [ST.pop(1), ST.pop(2), ST.copy(2), ST.push("a", 2), ST.push("b", 1),
+           ST.rew("b"), ST.noop(), ST.collapse(1), ST.collapse(2)]
+    applied = 0
+    for w in pool:
+        assert tag_rounds(w, 0) != w
+        assert erase_rounds(tag_rounds(w, 1)) is w
+        assert set(_tags(w)) == {None}
+        for op in ops:
+            try:
+                out = apply_op(op, w)
+            except UndefinedOperation:
+                continue
+            assert set(_tags(out)) == {None}, (op, encode(w))
+            applied += 1
+    assert applied > 100
 
 
 def test_encode_examples():
