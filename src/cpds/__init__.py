@@ -80,7 +80,6 @@ from .saturation import (
     exp_tower,
     non_alternating_top,
     prestar,
-    prestar_eager,
     satstep,
 )
 from .extended import (

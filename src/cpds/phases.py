@@ -1,15 +1,22 @@
 """Phase-bounded reachability.
 
 A run of a phase-bounded system splits into at most z segments, each
-consuming from a single stack.  The solver enumerates the boundary
-controls and per-phase popping stacks, then walks the phases backward.
-One per-stack automaton tracks the possible stack contents at each phase
-boundary: the automaton of the popping stack advances by saturating a
+consuming from a single stack.  A plan guesses the boundary controls and
+the per-phase popping stacks; the phases are walked backward from the
+target.  One per-stack automaton tracks the possible stack contents at each
+phase boundary: the automaton of the popping stack advances by saturating a
 product system that models that stack faithfully while tracking, in its
 control, one transition-automaton state per other stack; the remaining
 automata advance by splicing in a guessed long-form transition whose
 admissible values are read off the product solve rather than enumerated
 blindly.
+
+The product does not read the control the phase enters at, so its
+saturations serve every choice of it.  A verdict walks the plan suffixes
+depth-first from the target, so plans sharing a suffix share its frontier
+and an empty frontier prunes them all.  A global set walks each plan on
+its own, in plan order, which fixes the names of the fresh states that
+reach its documents.
 """
 
 from __future__ import annotations
@@ -177,8 +184,14 @@ class _PhaseSolver:
         branching covers the guessed final transitions of the non-popping
         stacks and the admissible entry vectors of the product solve.
         """
-        m = self.sys.stacks
-        others = [j for j in range(m) if j != s]
+        yield from self._entries(autos, self._saturations(autos, q_cur, s),
+                                 q_prev, s)
+
+    def _saturations(self, autos: dict, q_cur, s: int):
+        """One product saturation per guess of the non-popping stacks' final
+        transitions.  The product does not read the previous boundary
+        control, so every choice of it can share these."""
+        others = [j for j in range(self.sys.stacks) if j != s]
         tprime_options = []
         for j in others:
             aut = autos[j]
@@ -187,13 +200,18 @@ class _PhaseSolver:
             if not opts:
                 return
             tprime_options.append(opts)
-        count = 0
         for choice in product(*tprime_options):
             tprimes = dict(zip(others, choice))
             source = build_pbcpds(self.sys, s, autos, tprimes, q_cur)
             base = self._clean_copy(autos[s])
             sat, _ = prestar(source, base, check=False,
                              max_transitions=_MAX_PRODUCT_TRANSITIONS)
+            yield sat
+
+    def _entries(self, autos: dict, sats, q_prev, s: int):
+        """The vectors entering the phase at ``q_prev``, read off ``sats``."""
+        count = 0
+        for sat in sats:
             for ta in self._admissible_entries(sat, q_prev):
                 count += 1
                 if count > _MAX_BRANCHES:
@@ -232,13 +250,40 @@ class _PhaseSolver:
         out.sort(key=flat_key)
         return out
 
-    def solve(self, q_in, q_out, want_global: bool):
-        """Iterate plans; for reachability stop at the first witness."""
+    def reach(self, q_in, q_out) -> bool:
+        """Walk the plan suffixes depth-first back from ``q_out``.
+
+        Each level saturates once per frontier element and popping stack,
+        then branches on the boundary control the phase enters at, so plans
+        sharing a suffix share its frontier and an empty frontier prunes
+        every plan extending it.
+        """
+        m = self.sys.stacks
+        bot = ST.bottom(self.sys.order)
+
+        def walk(frontier, i, q_cur):
+            for s in range(m):
+                sats = [(autos, list(self._saturations(autos, q_cur, s)))
+                        for autos in frontier]
+                for q_prev in (self.sys.controls if i > 1 else [q_in]):
+                    nxt = [new for autos, ss in sats
+                           for new in self._entries(autos, ss, q_prev, s)]
+                    if i > 1:
+                        if nxt and walk(nxt, i - 1, q_prev):
+                            return True
+                    elif any(all(autos[j].member(q_in, bot) for j in range(m))
+                             for autos in nxt):
+                        return True
+            return False
+
+        return walk([self.seed_autos(q_out)], self.z, q_out)
+
+    def solve(self, q_out) -> RegularConfigSet:
+        """Walk every plan back from ``q_out``; collect the entry tuples."""
         m = self.sys.stacks
         results = RegularConfigSet(self.sys.order, m)
-        found = False
-        for plan in self._plans(q_in, q_out):
-            frontier = [self.seed_autos(plan.boundaries[-1])]
+        for plan in self._plans(q_out):
+            frontier = [self.seed_autos(q_out)]
             for i in range(self.z, 0, -1):
                 q_prev, q_cur = plan.boundaries[i - 1], plan.boundaries[i]
                 s = plan.popping[i - 1]
@@ -250,23 +295,16 @@ class _PhaseSolver:
                     break
             q0 = plan.boundaries[0]
             for autos in frontier:
-                bot = ST.bottom(self.sys.order)
-                if all(autos[j].member(q0, bot) for j in range(m)):
-                    found = True
-                    if not want_global:
-                        return True, results
-                if want_global:
-                    results.add(RegTuple(
-                        q0,
-                        tuple(autos[j] for j in range(m)),
-                        tuple(autos[j].require_control(q0) for j in range(m)),
-                    ))
-        return found, results
+                results.add(RegTuple(
+                    q0,
+                    tuple(autos[j] for j in range(m)),
+                    tuple(autos[j].require_control(q0) for j in range(m)),
+                ))
+        return results
 
-    def _plans(self, q_in, q_out):
+    def _plans(self, q_out):
         controls = list(self.sys.controls)
-        starts = [q_in] if q_in is not None else controls
-        for q0 in starts:
+        for q0 in controls:
             for mids in product(controls, repeat=self.z - 1):
                 bounds = (q0,) + mids + (q_out,)
                 for pops in product(range(self.sys.stacks), repeat=self.z):
@@ -280,9 +318,7 @@ def phase_reachability(sys: Mcpds, z: int, q_in, q_out) -> bool:
         return True
     if z < 1:
         return False
-    solver = _PhaseSolver(sys, z)
-    found, _ = solver.solve(q_in, q_out, want_global=False)
-    return found
+    return _PhaseSolver(sys, z).reach(q_in, q_out)
 
 
 def phase_global(sys: Mcpds, z: int, q_out) -> RegularConfigSet:
@@ -290,6 +326,4 @@ def phase_global(sys: Mcpds, z: int, q_out) -> RegularConfigSet:
     if z < 1:
         raise NotSupported(f"the phase solver needs a bound of at least 1, "
                            f"got {z}")
-    solver = _PhaseSolver(sys, z)
-    _, results = solver.solve(None, q_out, want_global=True)
-    return results
+    return _PhaseSolver(sys, z).solve(q_out)

@@ -314,48 +314,6 @@ def prestar(sys_or_rules, a0: StackAutomaton, *, layer: int | None = None,
             return aut, stats
 
 
-def prestar_eager(sys_or_rules, a0: StackAutomaton, *, optimized: bool | None = None,
-                  layer: int | None = None,
-                  max_transitions: int | None = None) -> StackAutomaton:
-    """Alternative strategy: additions become visible within the pass.
-
-    Reaches the same fixpoint as :func:`prestar`; kept as an oracle for the
-    order-independence of the chaotic iteration.
-    """
-    source = _as_source(sys_or_rules)
-    optimized = non_alternating_top(a0) if optimized is None else optimized
-    aut = a0.copy()
-    for c in source.seed_controls():
-        aut.control_state(c, layer)
-    cap = max_transitions or saturation_cap(a0.order, a0, 64)
-    total = 0
-    changed = True
-    while changed:
-        changed = False
-        for c in list(aut.control_states(layer)):
-            for r in source.rules_into(c):
-                if r.consuming:
-                    cand = auxsat_consuming(r, aut, layer)
-                else:
-                    head = aut.peek_control(r.dst, layer)
-                    cand = []
-                    for t in aut.long_forms_from(head):
-                        cand.extend(auxsat_generating(r, t, aut, layer))
-                for t in sorted(cand, key=lf_key):
-                    if optimized and len(t.targets[-1]) > 1:
-                        continue
-                    aut.control_state(r.src, layer)
-                    if aut.add_long_form(t):
-                        total += 1
-                        if total > cap:
-                            raise BudgetExceeded(
-                                f"eager saturation transition cap exceeded: "
-                                f"{total} transitions added, limit {cap}"
-                            )
-                        changed = True
-    return aut
-
-
 def _as_source(sys_or_rules):
     if hasattr(sys_or_rules, "rules_into"):
         return sys_or_rules

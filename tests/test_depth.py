@@ -5,6 +5,7 @@ general-order code paths (middle-order collapse and push) and the
 stack-count induction one level deeper.
 """
 
+import cpds.phases
 import cpds.stacks as ST
 from cpds import (
     BudgetExceeded,
@@ -124,3 +125,18 @@ def test_three_stack_scope_and_phase():
             ExploreBounds(40, 60, 30000))
         got = scope_reachability(szd, zeta, "q0", "q6")
         assert got == want.definitely_reachable, zeta
+
+
+def test_three_stack_phase_walk_shares_saturations(monkeypatch):
+    # unreachable at z=2, so the walk visits every plan suffix; walking each
+    # plan on its own took 1,488 product saturations here
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return prestar(*args, **kw)
+
+    monkeypatch.setattr(cpds.phases, "prestar", counted)
+    sysd = _three_stack("q5")
+    assert cpds.phases.phase_reachability(sysd, 2, "q0", "q6") is False
+    assert len(calls) <= 528

@@ -47,8 +47,10 @@ def test_phase_bound_zero_is_not_supported():
 
 def test_phase_branching_budget_names_limit_and_count(monkeypatch):
     monkeypatch.setattr(cpds.phases, "_MAX_BRANCHES", 1)
-    with pytest.raises(BudgetExceeded,
-                       match=r"phase branching budget exceeded: 2 branches, limit 1"):
+    pattern = r"phase branching budget exceeded: 2 branches, limit 1"
+    with pytest.raises(BudgetExceeded, match=pattern):
+        phase_reachability(fix_ph(), 2, "p0", "p4")
+    with pytest.raises(BudgetExceeded, match=pattern):
         phase_global(fix_ph(), 2, "p4")
 
 
@@ -116,6 +118,22 @@ def test_phase_random_differential_and_monotone():
             prev = got
             decided += 1
     assert decided >= 30
+
+
+def test_phase_reachability_agrees_with_phase_global():
+    # the verdict walk shares plan suffixes; the global solve walks each
+    # plan on its own, so the two paths check each other
+    prof = RandomProfile(order=2, controls=3, letters=2, stacks=2, rules=6,
+                         mode="unrestricted")
+    for seed in range(1, 21):
+        sysd = gen_random_system(seed, prof)
+        q_out = sysd.controls[-1]
+        bots = (bottom(2), bottom(2))
+        for z in (1, 2):
+            gset = phase_global(sysd, z, q_out)
+            for q_in in sysd.controls[:-1]:
+                assert (phase_reachability(sysd, z, q_in, q_out)
+                        == gset.member(Configuration(q_in, bots))), (seed, z, q_in)
 
 
 def test_phase_global_membership():

@@ -13,13 +13,53 @@ from cpds import (
     exp_tower,
     non_alternating_top,
     prestar,
-    prestar_eager,
     satstep,
 )
+from cpds.automata import lf_key
 from cpds.oracle import RandomProfile, enumerate_stacks, gen_random_system, prestar_oracle
 from cpds.saturation import ExplicitRules, saturation_cap
 
 from conftest import s1, s2
+
+
+def prestar_eager(sysd, a0, *, max_transitions=None):
+    """Reference saturation whose additions become visible within the pass.
+
+    Reaches the same fixpoint as :func:`prestar`; kept as an oracle for the
+    order-independence of the chaotic iteration.
+    """
+    source = ExplicitRules(sysd.rule_sets[0], sysd.ext_rule_sets[0], sysd.controls)
+    optimized = non_alternating_top(a0)
+    aut = a0.copy()
+    for c in source.seed_controls():
+        aut.control_state(c)
+    cap = max_transitions or saturation_cap(a0.order, a0, 64)
+    total = 0
+    changed = True
+    while changed:
+        changed = False
+        for c in list(aut.control_states()):
+            for r in source.rules_into(c):
+                if r.consuming:
+                    cand = auxsat_consuming(r, aut)
+                else:
+                    head = aut.peek_control(r.dst)
+                    cand = []
+                    for t in aut.long_forms_from(head):
+                        cand.extend(auxsat_generating(r, t, aut))
+                for t in sorted(cand, key=lf_key):
+                    if optimized and len(t.targets[-1]) > 1:
+                        continue
+                    aut.control_state(r.src)
+                    if aut.add_long_form(t):
+                        total += 1
+                        if total > cap:
+                            raise BudgetExceeded(
+                                f"eager saturation transition cap exceeded: "
+                                f"{total} transitions added, limit {cap}"
+                            )
+                        changed = True
+    return aut
 
 
 def a0_bottom(order, alphabet, control):
