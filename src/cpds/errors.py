@@ -64,9 +64,18 @@ class NotSupported(CpdsError):
     """Requested feature is intentionally out of scope."""
 
 
-class VertexBudgetExceeded(CpdsError):
+class _BudgetStop(CpdsError):
+    """A solve stopped at a budget; ``count`` went past ``limit``."""
+
+    def __init__(self, budget: str, count: int, unit: str, limit: int):
+        super().__init__(f"{budget} exceeded: {count} {unit}, limit {limit}")
+        self.count = count
+        self.limit = limit
+
+
+class VertexBudgetExceeded(_BudgetStop):
     """The scope-bounded reachability graph outgrew its vertex budget."""
 
 
-class BudgetExceeded(CpdsError):
+class BudgetExceeded(_BudgetStop):
     """A bounded exploration or saturation exceeded its resource budget."""

@@ -207,11 +207,9 @@ def _materialize(rules_into, order, alphabet, stacks, seeds) -> Mcpds:
             rule_sets[j].append(rule)
             if rule.src not in controls:
                 if len(controls) >= _MAX_PRODUCT_CONTROLS:
-                    raise BudgetExceeded(
-                        f"product control budget exceeded: "
-                        f"{len(controls) + 1} controls, "
-                        f"limit {_MAX_PRODUCT_CONTROLS}"
-                    )
+                    raise BudgetExceeded("product control budget",
+                                         len(controls) + 1, "controls",
+                                         _MAX_PRODUCT_CONTROLS)
                 controls[rule.src] = None
                 queue.append(rule.src)
     return Mcpds(order, alphabet, list(controls),

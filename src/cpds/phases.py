@@ -14,15 +14,16 @@ blindly.
 The product does not read the control the phase enters at, so its
 saturations serve every choice of it.  A verdict walks the plan suffixes
 depth-first from the target, so plans sharing a suffix share its frontier
-and an empty frontier prunes them all.  A global set walks each plan on
-its own, in plan order, which fixes the names of the fresh states that
-reach its documents.
+and an empty frontier prunes them all.  A global set walks each plan in
+plan order, which fixes the names of the fresh states that reach its
+documents; only the first step back, which every plan takes from the same
+seed automata, shares its saturations across plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, tee
 
 from . import stacks as ST
 from .automata import StackAutomaton, State, accept_all_automaton, flat_key
@@ -215,10 +216,8 @@ class _PhaseSolver:
             for ta in self._admissible_entries(sat, q_prev):
                 count += 1
                 if count > _MAX_BRANCHES:
-                    raise BudgetExceeded(
-                        f"phase branching budget exceeded: {count} branches, "
-                        f"limit {_MAX_BRANCHES}"
-                    )
+                    raise BudgetExceeded("phase branching budget", count,
+                                         "branches", _MAX_BRANCHES)
                 new_autos = {}
                 # popping stack: re-root on the entry vector's product state
                 entry_state = sat.require_control((q_prev, ta))
@@ -279,20 +278,30 @@ class _PhaseSolver:
         return walk([self.seed_autos(q_out)], self.z, q_out)
 
     def solve(self, q_out) -> RegularConfigSet:
-        """Walk every plan back from ``q_out``; collect the entry tuples."""
+        """Walk every plan back from ``q_out``; collect the entry tuples.
+
+        The first step back of every plan leaves the seed automata at
+        ``q_out``, so its saturations depend on the popping stack alone;
+        each is filled lazily, as the first plan popping that stack reads
+        it, and replayed for every later one.
+        """
         m = self.sys.stacks
         results = RegularConfigSet(self.sys.order, m)
+        seed = self.seed_autos(q_out)
+        seed_sats = {}
         for plan in self._plans(q_out):
-            frontier = [self.seed_autos(q_out)]
-            for i in range(self.z, 0, -1):
-                q_prev, q_cur = plan.boundaries[i - 1], plan.boundaries[i]
-                s = plan.popping[i - 1]
-                nxt = []
-                for autos in frontier:
-                    nxt.extend(self.step_back(autos, q_prev, q_cur, s))
-                frontier = nxt
+            s = plan.popping[-1]
+            if s not in seed_sats:
+                seed_sats[s] = self._saturations(seed, q_out, s)
+            seed_sats[s], sats = tee(seed_sats[s])
+            frontier = list(self._entries(seed, sats, plan.boundaries[-2], s))
+            for i in range(self.z - 1, 0, -1):
                 if not frontier:
                     break
+                q_prev, q_cur = plan.boundaries[i - 1], plan.boundaries[i]
+                s = plan.popping[i - 1]
+                frontier = [new for autos in frontier
+                            for new in self.step_back(autos, q_prev, q_cur, s)]
             q0 = plan.boundaries[0]
             for autos in frontier:
                 results.add(RegTuple(

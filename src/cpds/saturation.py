@@ -306,10 +306,9 @@ def prestar(sys_or_rules, a0: StackAutomaton, *, layer: int | None = None,
                                  layer=layer, stats=stats)
         stats.transitions_added += added
         if stats.transitions_added > cap:
-            raise BudgetExceeded(
-                f"saturation transition cap exceeded: "
-                f"{stats.transitions_added} transitions added, limit {cap}"
-            )
+            raise BudgetExceeded("saturation transition cap",
+                                 stats.transitions_added, "transitions added",
+                                 cap)
         if added == 0:
             return aut, stats
 

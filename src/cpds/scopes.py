@@ -270,9 +270,8 @@ class _Graph:
                     self.pred_memo[key] = aut
                 if aut.state_count() > self.bound:
                     raise VertexBudgetExceeded(
-                        f"layered-automaton state ceiling exceeded: "
-                        f"{aut.state_count()} states, limit {self.bound}"
-                    )
+                        "layered-automaton state ceiling", aut.state_count(),
+                        "states", self.bound)
                 autos.append(aut)
             cand = ReachVertex(qs, tuple(autos))
             if _admissible(cand):
@@ -303,10 +302,8 @@ class _Graph:
                         continue
                     if len(seen) >= _MAX_VERTICES:
                         raise VertexBudgetExceeded(
-                            f"reachability graph budget exceeded: "
-                            f"{len(seen) + 1} vertices, "
-                            f"limit {_MAX_VERTICES}"
-                        )
+                            "reachability graph budget", len(seen) + 1,
+                            "vertices", _MAX_VERTICES)
                     seen[k] = p
                     nxt.append(p)
             frontier = nxt

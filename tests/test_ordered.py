@@ -239,5 +239,6 @@ def test_empty_global_memo_separates_target_and_controls_order():
 def test_product_control_budget_names_limit_and_count(monkeypatch):
     monkeypatch.setattr(cpds.ordered, "_MAX_PRODUCT_CONTROLS", 2)
     with pytest.raises(BudgetExceeded,
-                       match=r"product control budget exceeded: 3 controls, limit 2"):
+                       match=r"product control budget exceeded: 3 controls, limit 2") as e:
         ordered_global(fix3(), "q7")
+    assert (e.value.count, e.value.limit) == (3, 2)

@@ -12,6 +12,7 @@ from cpds import (
     build_pbcpds,
     phase_global,
     phase_reachability,
+    prestar,
 )
 from cpds.oracle import (
     ExploreBounds,
@@ -48,20 +49,44 @@ def test_phase_bound_zero_is_not_supported():
 def test_phase_branching_budget_names_limit_and_count(monkeypatch):
     monkeypatch.setattr(cpds.phases, "_MAX_BRANCHES", 1)
     pattern = r"phase branching budget exceeded: 2 branches, limit 1"
-    with pytest.raises(BudgetExceeded, match=pattern):
+    with pytest.raises(BudgetExceeded, match=pattern) as e:
         phase_reachability(fix_ph(), 2, "p0", "p4")
-    with pytest.raises(BudgetExceeded, match=pattern):
+    assert (e.value.count, e.value.limit) == (2, 1)
+    with pytest.raises(BudgetExceeded, match=pattern) as e:
         phase_global(fix_ph(), 2, "p4")
+    assert (e.value.count, e.value.limit) == (2, 1)
 
 
 def test_product_transition_budget_names_limit_and_count(monkeypatch):
     monkeypatch.setattr(cpds.phases, "_MAX_PRODUCT_TRANSITIONS", 1)
     pattern = (r"saturation transition cap exceeded: "
                r"3 transitions added, limit 1$")
-    with pytest.raises(BudgetExceeded, match=pattern):
+    with pytest.raises(BudgetExceeded, match=pattern) as e:
         phase_reachability(fix_ph(), 2, "p0", "p4")
-    with pytest.raises(BudgetExceeded, match=pattern):
+    assert (e.value.count, e.value.limit) == (3, 1)
+    with pytest.raises(BudgetExceeded, match=pattern) as e:
         phase_global(fix_ph(), 2, "p4")
+    assert (e.value.count, e.value.limit) == (3, 1)
+
+
+@pytest.mark.parametrize("branches, transitions, message", [
+    # the first plan popping stack 1 saturates past the cap
+    (2, 3, "saturation transition cap exceeded: 4 transitions added, "
+           "limit 3"),
+    # the seed step's second saturation opens the second branch, before
+    # its third saturation runs
+    (1, 4, "phase branching budget exceeded: 2 branches, limit 1"),
+    (2, 4, "phase branching budget exceeded: 3 branches, limit 2"),
+])
+def test_shared_seed_step_keeps_the_first_budget_stop(monkeypatch, branches,
+                                                      transitions, message):
+    # the messages are those of a solve that saturates the seed step once
+    # per plan, so sharing it moves no budget stop
+    monkeypatch.setattr(cpds.phases, "_MAX_BRANCHES", branches)
+    monkeypatch.setattr(cpds.phases, "_MAX_PRODUCT_TRANSITIONS", transitions)
+    with pytest.raises(BudgetExceeded) as e:
+        phase_global(fix_ph(), 2, "p4")
+    assert str(e.value) == message
 
 
 def test_pbcpds_rule_families():
@@ -122,7 +147,8 @@ def test_phase_random_differential_and_monotone():
 
 def test_phase_reachability_agrees_with_phase_global():
     # the verdict walk shares plan suffixes; the global solve walks each
-    # plan on its own, so the two paths check each other
+    # plan in turn past the shared seed step, so the two paths check each
+    # other
     prof = RandomProfile(order=2, controls=3, letters=2, stacks=2, rules=6,
                          mode="unrestricted")
     for seed in range(1, 21):
@@ -134,6 +160,27 @@ def test_phase_reachability_agrees_with_phase_global():
             for q_in in sysd.controls[:-1]:
                 assert (phase_reachability(sysd, z, q_in, q_out)
                         == gset.member(Configuration(q_in, bots))), (seed, z, q_in)
+
+
+def test_phase_global_saturates_the_seed_step_once_per_popping_stack(
+        monkeypatch):
+    # 100 plans of z=2 over 5 controls and 2 stacks, 3 saturations to a
+    # step: 450 product saturations when every plan saturates its own seed
+    # step, 300 of them there; 6 seed saturations when plans share them
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return prestar(*args, **kw)
+
+    monkeypatch.setattr(cpds.phases, "prestar", counted)
+    sysd = fix_ph()
+    gset = phase_global(sysd, 2, "p4")
+    assert len(calls) == 156
+    bots = (bottom(2), bottom(2))
+    for q_in in sysd.controls:
+        assert (phase_reachability(sysd, 2, q_in, "p4")
+                == gset.member(Configuration(q_in, bots))), q_in
 
 
 def test_phase_global_membership():

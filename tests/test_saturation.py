@@ -55,9 +55,8 @@ def prestar_eager(sysd, a0, *, max_transitions=None):
                         total += 1
                         if total > cap:
                             raise BudgetExceeded(
-                                f"eager saturation transition cap exceeded: "
-                                f"{total} transitions added, limit {cap}"
-                            )
+                                "eager saturation transition cap", total,
+                                "transitions added", cap)
                         changed = True
     return aut
 
@@ -163,8 +162,10 @@ def test_saturation_cap_message_names_limit_and_count(fix2):
     a0 = exact_stack_automaton(2, {"a", "b", "c"}, {"p3": [s2(s1("b"))]})
     with pytest.raises(BudgetExceeded,
                        match=r"^saturation transition cap exceeded: "
-                             r"\d+ transitions added, limit 1$"):
+                             r"\d+ transitions added, limit 1$") as e:
         prestar(fix2, a0, max_transitions=1)
+    assert e.value.limit == 1 and e.value.count > 1
+    assert f": {e.value.count} transitions added," in str(e.value)
 
 
 def test_eager_saturation_cap_message_names_limit_and_count(fix2):

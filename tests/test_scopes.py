@@ -222,8 +222,19 @@ def test_scope_bound_zero_is_not_supported():
 def test_vertex_budget_names_limit_and_count(monkeypatch):
     monkeypatch.setattr(cpds.scopes, "_MAX_VERTICES", 3)
     with pytest.raises(VertexBudgetExceeded,
-                       match=r"graph budget exceeded: 4 vertices, limit 3"):
+                       match=r"graph budget exceeded: 4 vertices, limit 3") as e:
         scope_global(fix_sc(), 2, "c5")
+    assert (e.value.count, e.value.limit) == (4, 3)
+
+
+def test_state_ceiling_names_limit_and_count(monkeypatch):
+    monkeypatch.setattr(cpds.scopes, "sbmax", lambda *args: 1)
+    with pytest.raises(VertexBudgetExceeded,
+                       match=r"^layered-automaton state ceiling exceeded: "
+                             r"\d+ states, limit 1$") as e:
+        scope_global(fix_sc(), 2, "c5")
+    assert e.value.limit == 1 and e.value.count > 1
+    assert f": {e.value.count} states," in str(e.value)
 
 
 def test_reachability_graph_dot():

@@ -97,7 +97,9 @@ def test_writer_takes_str_keys_only(doc):
         dump_document(doc)
 
 
-def test_fixture_documents_match_the_benchmark_pins():
+def check_benchmark_pins(prefix):
+    """Run the benchmark's global queries whose id starts with ``prefix``
+    and compare each document with its pin; returns how many it checked."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
@@ -107,10 +109,20 @@ def test_fixture_documents_match_the_benchmark_pins():
     checked = 0
     for name in workloads.WORKLOADS:
         for q in workloads.build(name, 0).queries:
-            if q.qid.startswith("cli-global:"):
+            if q.kind == "global" and q.qid.startswith(prefix):
                 text, stopped = workloads.execute(q)
                 assert stopped is None, q.qid
                 digest = workloads.document_digests(text)[1]
                 assert digest == pins[name]["documents"][q.qid], (name, q.qid)
                 checked += 1
-    assert checked == len(list(FIX.glob("*.cpds")))
+    return checked
+
+
+def test_fixture_documents_match_the_benchmark_pins():
+    assert check_benchmark_pins("cli-global:") == len(list(FIX.glob("*.cpds")))
+
+
+def test_phase_global_documents_match_the_benchmark_pins():
+    # the fresh-state numbering of the phase global solve reaches these
+    # documents, so a change to it fails here and not only in the benchmark
+    assert check_benchmark_pins("phase-global:") == 10
