@@ -402,16 +402,26 @@ class StackAutomaton:
             cur = self.add_high_transition(cur, t.targets[k - 1])
         return self.add_delta1(cur, t.letter, t.branch, t.targets[0])
 
-    def has_long_form(self, t: LongForm) -> bool:
-        """Would :meth:`add_long_form` change nothing?  Mutates nothing."""
+    def pending_entry(self, t: LongForm):
+        """The order-1 transition :meth:`add_long_form` would add for ``t``.
+
+        None when ``t`` is present.  Otherwise a key naming that transition:
+        the last state of ``t``'s chain already in the automaton, with the
+        rest of ``t`` below it.  Every state the insertion would invent
+        below that point is fresh, so two long forms get the same key
+        exactly when inserting both adds one transition.  Mutates nothing.
+        """
         cur = t.head
-        if cur not in self.states[self.order]:
-            return False
-        for k in range(self.order, 1, -1):
-            cur = self.delta_high[k].get((cur, t.targets[k - 1]))
-            if cur is None:
-                return False
-        return (t.letter, t.branch, t.targets[0]) in self.delta1.get(cur, ())
+        if cur in self.states[self.order]:
+            for k in range(self.order, 1, -1):
+                nxt = self.delta_high[k].get((cur, t.targets[k - 1]))
+                if nxt is None:
+                    break
+                cur = nxt
+            else:
+                if (t.letter, t.branch, t.targets[0]) in self.delta1.get(cur, ()):
+                    return None
+        return (cur, t.letter, t.branch, t.targets[:cur.order])
 
     # -- chain enumeration -------------------------------------------------
 
@@ -447,9 +457,19 @@ class StackAutomaton:
         memo[src] = out
         return out
 
-    def long_forms_from(self, head: State):
-        return [LongForm(head, letter, branch, targets)
-                for letter, branch, targets in self.chains_from(head)]
+    def long_forms_from(self, head: State) -> tuple:
+        """The long-form transitions out of ``head``, in chain order.
+
+        Memoised per revision, like :meth:`chains_from`; the tuple and its
+        long forms (with their cached keys) are shared between callers.
+        """
+        memo = self._chain_memo
+        hit = memo.get(("lf", head))
+        if hit is None:
+            hit = memo[("lf", head)] = tuple(
+                LongForm(head, letter, branch, targets)
+                for letter, branch, targets in self.chains_from(head))
+        return hit
 
     def k_prefixes(self, src: State, k: int):
         """Chains of high transitions from ``src`` down to an order-k label.
@@ -472,16 +492,22 @@ class StackAutomaton:
         For each way of choosing one chain per member, yields the merged
         ``(letter, branch, targets)`` with unions taken pointwise; the merge
         is dropped when branch sets mix orders.  The empty set contributes
-        one all-empty merge per alphabet letter.
+        one all-empty merge per alphabet letter.  Memoised per revision
+        as a shared tuple.
         """
-        qs = sorted_states(qs)
-        merges = {}
+        memo_key = ("sf", frozenset(qs), upto)
+        hit = self._chain_memo.get(memo_key)
+        if hit is None:
+            hit = self._chain_memo[memo_key] = tuple(self._merges(qs, upto))
+        return hit
+
+    def _merges(self, qs, upto: int):
+        """The distinct merges of :meth:`set_form_chains`, first seen first."""
         if not qs:
-            for a in sorted(self.alphabet):
-                merges[(a, frozenset(), (frozenset(),) * upto)] = None
-            return list(merges)
+            return [(a, frozenset(), (frozenset(),) * upto)
+                    for a in sorted(self.alphabet)]
         combos = [(None, frozenset(), (frozenset(),) * upto)]
-        for q in qs:
+        for q in sorted_states(qs):
             nxt = []
             for letter, branch, targets in self.chains_from(q):
                 for (cl, cb, ct) in combos:
@@ -494,10 +520,8 @@ class StackAutomaton:
                     nxt.append((letter, cb | branch, merged))
             combos = nxt
             if not combos:
-                return []
-        for c in combos:
-            merges[c] = None
-        return list(merges)
+                return ()
+        return dict.fromkeys(combos)
 
     # -- membership --------------------------------------------------------
 
@@ -819,29 +843,42 @@ class StackAutomaton:
         self._canon_cache = (self.revision, out)
         return out
 
-    def pruned(self) -> "StackAutomaton":
-        """Copy without structure unreachable from the top-order states.
+    def active_states(self, kept=None) -> set:
+        """The states some run from a top-order state can consult.
 
-        A state is active when some run from an order-n state can consult
-        it: as a chain label, a target-set member, or a branch member of an
-        active transition.  Dropping the rest is language-preserving for
-        every designated state and keeps canonical keys free of orphaned
-        fresh names.
+        A state is active when it is an order-n state, or a chain label, a
+        target-set member or a branch member of an active state's
+        transition.  With ``kept`` (a container of states), only kept
+        states count, and only transitions whose states are all kept: the
+        active states of the image that keeps just those.
         """
         consulted = {}  # state -> labels, targets and branch members it reads
         for k in range(2, self.order + 1):
             for (src, targets), label in self.delta_high[k].items():
-                consulted.setdefault(src, []).extend((label, *targets))
+                parts = (label, *targets)
+                if kept is None or (src in kept and all(p in kept for p in parts)):
+                    consulted.setdefault(src, []).extend(parts)
         for src, slots in self.delta1.items():
             for (_l, branch, targets) in slots:
-                consulted.setdefault(src, []).extend((*branch, *targets))
-        active = set(self.states[self.order])
+                parts = (*branch, *targets)
+                if kept is None or (src in kept and all(p in kept for p in parts)):
+                    consulted.setdefault(src, []).extend(parts)
+        active = {s for s in self.states[self.order] if kept is None or s in kept}
         work = list(active)
         while work:
             for t in consulted.get(work.pop(), ()):
                 if t not in active:
                     active.add(t)
                     work.append(t)
+        return active
+
+    def pruned(self) -> "StackAutomaton":
+        """Copy without the states that are not active.
+
+        Dropping them is language-preserving for every designated state and
+        keeps canonical keys free of orphaned fresh names.
+        """
+        active = self.active_states()
         out = StackAutomaton(self.order, self.alphabet)
         copy_into(out, self, lambda s: s if s in active else None)
         out.controls = dict(self.controls)

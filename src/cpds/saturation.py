@@ -10,11 +10,17 @@ transition of the head control, possibly merging in set-form transitions
 
 One saturation pass gathers every candidate a step derives from its input
 automaton (plain rules and, when the rule source has them, extended rules),
-drops those whose insertion would change nothing, then inserts the rest in
-``lf_key`` order.  :func:`satstep` writes the pass into a copy, so
-iterating it reproduces the A_{i+1} = step(A_i) sequence; :func:`prestar`
-writes it back into its input until a pass adds nothing, which reaches the
-same fixpoint without the copies.
+drops exact repeats and those whose insertion would change nothing, then
+inserts the rest in ``lf_key`` order.  :func:`satstep` writes the pass into
+a copy, so iterating it reproduces the A_{i+1} = step(A_i) sequence;
+:func:`prestar` writes it back into its input until a pass adds nothing,
+which reaches the same fixpoint without the copies.
+
+Each kept candidate names the one order-1 transition it will add, so a pass
+knows what it adds before it inserts anything.  Under a transition cap, the
+gathering stops as soon as the total would pass the cap and raises
+:class:`BudgetExceeded` with count cap + 1, in the pass whose insertions
+would have crossed the cap.
 
 Additions are restricted to top-order target sets of size at most one
 whenever the initial automaton is non-alternating at the top order, which
@@ -220,26 +226,21 @@ class SaturationStats:
 # ---------------------------------------------------------------------------
 
 
-def _saturation_pass(source, read: StackAutomaton, write: StackAutomaton, *,
-                     optimized: bool, layer: int | None,
-                     stats: SaturationStats) -> int:
-    """Insert into ``write`` what one saturation step derives from ``read``.
-
-    Every candidate is gathered before the first insertion, so ``write`` may
-    be ``read`` itself.  Returns the number of transitions added.
-    """
+def _derivations(source, read: StackAutomaton, layer: int | None,
+                 stats: SaturationStats):
+    """``(src control, dst control, long form)`` for every candidate one
+    saturation step derives from ``read``, plain rules first."""
     active = read.control_states(layer)
-    cand = []
     for c in active:
         for r in source.rules_into(c):
             if r.consuming:
                 for t in auxsat_consuming(r, read, layer):
-                    cand.append((r.src, r.dst, t))
+                    yield r.src, r.dst, t
             else:
                 head = read.peek_control(r.dst, layer)
                 for t0 in read.long_forms_from(head):
                     for t in auxsat_generating(r, t0, read, layer):
-                        cand.append((r.src, r.dst, t))
+                        yield r.src, r.dst, t
     if source.extended:
         for c in active:
             for er in source.ext_rules_into(c):
@@ -249,16 +250,46 @@ def _saturation_pass(source, read: StackAutomaton, write: StackAutomaton, *,
                     stats.extended_queries += 1
                     for t in er.lang.initials(read, t2):
                         if t.head == src and t.letter == er.letter:
-                            cand.append((er.src, er.dst, t))
-    # A candidate the optimised mode forbids, or one already in ``write``
-    # with both its controls registered there, would change nothing; it is
-    # dropped before it is keyed.
-    cand = [c for c in cand
-            if not (optimized and len(c[2].targets[-1]) > 1)
-            and not (write.has_long_form(c[2]) and write.has_control(c[0], layer)
-                     and write.has_control(c[1], layer))]
+                            yield er.src, er.dst, t
+
+
+def _saturation_pass(source, read: StackAutomaton, write: StackAutomaton, *,
+                     optimized: bool, layer: int | None,
+                     stats: SaturationStats, cap: int | None = None) -> int:
+    """Insert into ``write`` what one saturation step derives from ``read``.
+
+    Every candidate is gathered before the first insertion, so ``write`` may
+    be ``read`` itself.  A candidate the optimised mode forbids, one already
+    in ``write`` with both its controls registered there, and an exact
+    repeat of an earlier candidate would change nothing; each is dropped as
+    it is gathered.  The rest are inserted in ``lf_key`` order, each adding
+    the order-1 transition :meth:`StackAutomaton.pending_entry` names, so
+    the gathering counts the pass's additions before it inserts anything:
+    once ``stats.transitions_added`` plus that count passes ``cap``, it
+    raises :class:`BudgetExceeded` with count ``cap + 1``.  Returns the
+    number of transitions added.
+    """
+    seen = set()
+    kept = []
+    due = set()  # the order-1 transitions the kept candidates add
+    for cand in _derivations(source, read, layer, stats):
+        t = cand[2]
+        if (optimized and len(t.targets[-1]) > 1) or cand in seen:
+            continue
+        seen.add(cand)
+        entry = write.pending_entry(t)
+        if entry is None:
+            if write.has_control(cand[0], layer) and write.has_control(cand[1], layer):
+                continue
+        elif entry not in due:
+            due.add(entry)
+            count = stats.transitions_added + len(due)
+            if cap is not None and count > cap:
+                raise BudgetExceeded("saturation transition cap", count,
+                                     "transitions added", cap)
+        kept.append(cand)
     added = 0
-    for src_c, dst_c, t in sorted(cand, key=lambda c: lf_key(c[2])):
+    for src_c, dst_c, t in sorted(kept, key=lambda c: lf_key(c[2])):
         write.control_state(src_c, layer)
         write.control_state(dst_c, layer)
         if write.add_long_form(t):
@@ -289,10 +320,17 @@ def prestar(sys_or_rules, a0: StackAutomaton, *, layer: int | None = None,
     object with ``rules_into``, ``seed_controls``, ``rule_count`` and
     ``extended`` (and ``ext_rules_into`` when ``extended`` is true).  The
     returned automaton accepts pre* of ``L(a0)``, extended rules included.
+
+    ``max_transitions`` caps the transitions added in all (default: the
+    generous :func:`saturation_cap`).  A solve that would add more raises
+    :class:`BudgetExceeded` with ``count == limit + 1`` while gathering the
+    pass that would cross the cap; a solve that fits returns what the
+    uncapped solve returns.
     """
     source = _as_source(sys_or_rules)
     stats = SaturationStats(optimized=non_alternating_top(a0))
-    cap = max_transitions or saturation_cap(a0.order, a0, source.rule_count)
+    cap = max_transitions if max_transitions is not None \
+        else saturation_cap(a0.order, a0, source.rule_count)
     aut = a0.copy()
     for c in source.seed_controls():
         aut.control_state(c, layer)
@@ -303,12 +341,8 @@ def prestar(sys_or_rules, a0: StackAutomaton, *, layer: int | None = None,
     while True:
         stats.iterations += 1
         added = _saturation_pass(source, aut, aut, optimized=stats.optimized,
-                                 layer=layer, stats=stats)
+                                 layer=layer, stats=stats, cap=cap)
         stats.transitions_added += added
-        if stats.transitions_added > cap:
-            raise BudgetExceeded("saturation transition cap",
-                                 stats.transitions_added, "transitions added",
-                                 cap)
         if added == 0:
             return aut, stats
 

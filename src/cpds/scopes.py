@@ -107,25 +107,29 @@ def shift(a: StackAutomaton, window: int) -> StackAutomaton:
 
 
 def _shift(a: StackAutomaton, window: int) -> StackAutomaton:
-    out = StackAutomaton(a.order, a.alphabet)
+    """The shifted image of ``a``, built pruned in one copy."""
     n = a.order
-
-    def shift_state(s: State):
-        layer = a.layers.get(s)
-        if layer is None or layer >= window:
-            return None
-        if s.order == n:
-            renamed = State(n, s.name[:2] + (layer + 1,) + s.name[3:]) \
-                if _is_layer_name(s) else State(n, ("sh", s.name, layer + 1))
-            return renamed
-        return s
-
-    mapped = copy_into(out, a, shift_state, lift=1)
+    image = {}
+    for k in range(1, n + 1):
+        for s in a.states[k]:
+            layer = a.layers.get(s)
+            if layer is None or layer >= window:
+                continue
+            if s.order < n:
+                image[s] = s
+            elif _is_layer_name(s):
+                image[s] = State(n, s.name[:2] + (layer + 1,) + s.name[3:])
+            else:
+                image[s] = State(n, ("sh", s.name, layer + 1))
+    active = a.active_states(image)
+    out = StackAutomaton(n, a.alphabet)
+    mapped = copy_into(out, a, lambda s: image[s] if s in active else None,
+                       lift=1)
     for (control, layer), s in a.layer_controls.items():
         if layer < window and s in mapped:
             out.remap_control(control, mapped[s], layer + 1)
     out._fresh = a._fresh
-    return out.pruned()
+    return out
 
 
 def _is_layer_name(s: State) -> bool:

@@ -1,4 +1,7 @@
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +9,7 @@ from cpds import Mcpds, Rule, mk_char, mk_stack
 import cpds.stacks as ST
 
 ACCEPTANCE_LINES = []
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -13,6 +17,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def benchmark_workloads():
+    """The benchmark's ``workloads`` module and its pins, read only."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads, json.loads((PERFBENCH / "pins.json").read_text())
 
 
 def s1(*chars):

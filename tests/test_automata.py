@@ -78,6 +78,28 @@ def test_add_long_form_idempotent_and_shared():
     assert len(labels) == 1
 
 
+def test_chain_memos_follow_the_revision():
+    a = exact_stack_automaton(2, {"a", "b"}, {"q": [s2(s1("a"))]})
+    q = a.require_control("q")
+    qs = frozenset([q])
+    lfs, merges = a.long_forms_from(q), a.set_form_chains(qs, 2)
+    # shared, so immutable
+    assert isinstance(lfs, tuple) and isinstance(merges, tuple)
+    assert a.long_forms_from(q) is lfs and a.set_form_chains(qs, 2) is merges
+    b = a.copy()
+    assert b.long_forms_from(q) == lfs and b.long_forms_from(q) is not lfs
+    t = lf(q, "b")
+    assert a.add_long_form(t)
+    assert t in a.long_forms_from(q) and t not in lfs
+    chain = ("b", frozenset(), (frozenset(), frozenset()))
+    assert chain in a.set_form_chains(qs, 2) and chain not in merges
+    # the copy keeps its own memo and its own transitions
+    assert b.long_forms_from(q) == lfs and b.set_form_chains(qs, 2) == merges
+    u = lf(q, "a", targets=((), (q,)))
+    assert b.add_long_form(u)
+    assert u in b.long_forms_from(q) and u not in a.long_forms_from(q)
+
+
 def test_determinism_at_high_orders_enforced():
     a = StackAutomaton(2, {"a"})
     q = a.control_state("p")

@@ -59,14 +59,15 @@ def test_phase_branching_budget_names_limit_and_count(monkeypatch):
 
 def test_product_transition_budget_names_limit_and_count(monkeypatch):
     monkeypatch.setattr(cpds.phases, "_MAX_PRODUCT_TRANSITIONS", 1)
+    # the pass stops at the first addition past the cap
     pattern = (r"saturation transition cap exceeded: "
-               r"3 transitions added, limit 1$")
+               r"2 transitions added, limit 1$")
     with pytest.raises(BudgetExceeded, match=pattern) as e:
         phase_reachability(fix_ph(), 2, "p0", "p4")
-    assert (e.value.count, e.value.limit) == (3, 1)
+    assert (e.value.count, e.value.limit) == (2, 1)
     with pytest.raises(BudgetExceeded, match=pattern) as e:
         phase_global(fix_ph(), 2, "p4")
-    assert (e.value.count, e.value.limit) == (3, 1)
+    assert (e.value.count, e.value.limit) == (2, 1)
 
 
 @pytest.mark.parametrize("branches, transitions, message", [

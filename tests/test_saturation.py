@@ -5,7 +5,9 @@ from cpds import (
     BudgetExceeded,
     LongForm,
     Rule,
+    StackAutomaton,
     State,
+    accept_all_automaton,
     auxsat_consuming,
     auxsat_generating,
     bottom,
@@ -19,7 +21,7 @@ from cpds.automata import lf_key
 from cpds.oracle import RandomProfile, enumerate_stacks, gen_random_system, prestar_oracle
 from cpds.saturation import ExplicitRules, saturation_cap
 
-from conftest import s1, s2
+from conftest import benchmark_workloads, s1, s2
 
 
 def prestar_eager(sysd, a0, *, max_transitions=None):
@@ -166,6 +168,68 @@ def test_saturation_cap_message_names_limit_and_count(fix2):
         prestar(fix2, a0, max_transitions=1)
     assert e.value.limit == 1 and e.value.count > 1
     assert f": {e.value.count} transitions added," in str(e.value)
+
+
+def cap_differential(sysd, a0):
+    """Every cap below the uncapped total stops one transition past it;
+    every other cap gives the uncapped result.  Returns the total."""
+    full, stats = prestar(sysd, a0)
+    total = stats.transitions_added
+    for cap in range(total):
+        with pytest.raises(BudgetExceeded) as e:
+            prestar(sysd, a0, max_transitions=cap)
+        assert (e.value.count, e.value.limit) == (cap + 1, cap)
+    for cap in (total, total + 1, total + 10):
+        sat, _ = prestar(sysd, a0, max_transitions=cap)
+        assert sat.to_json() == full.to_json()
+    return total
+
+
+def test_cap_stops_one_transition_past_the_cap(fix2):
+    a0 = exact_stack_automaton(2, {"a", "b", "c"}, {"p3": [s2(s1("b"))]})
+    assert cap_differential(fix2, a0) > 1
+    totals = []
+    for order in (2, 3):
+        for seed in range(1, 7):
+            prof = RandomProfile(order=order, controls=5, letters=2, stacks=1,
+                                 rules=14)
+            sysd = gen_random_system(seed, prof)
+            targets = enumerate_stacks(order, sysd.alphabet, 5)[:6]
+            a0 = exact_stack_automaton(order, sysd.alphabet,
+                                       {sysd.controls[-1]: targets})
+            totals.append(cap_differential(sysd, a0))
+    assert sum(totals) >= 80
+
+
+def test_cap_counts_one_transition_for_candidates_sharing_a_label():
+    # p and q read their order-1 stack from one label, so the two long
+    # forms the rules derive add a single order-1 transition between them
+    a0 = StackAutomaton(2, {"a"})
+    p, q, r = (a0.control_state(c) for c in "pqr")
+    label = State(1, ("l",))
+    a0.add_high_transition(p, (), label=label)
+    a0.add_high_transition(q, (), label=label)
+    empty = frozenset()
+    a0.add_long_form(LongForm(r, "a", empty, (empty, empty)))
+    rules = [Rule("p", "a", ST.noop(), "r"), Rule("q", "a", ST.noop(), "r")]
+    assert cap_differential(rules, a0) == 1
+
+
+def test_benchmark_budget_stops_stop_one_past_the_cap():
+    # the single workload's pinned stops, read from the benchmark's files
+    workloads, pins = benchmark_workloads()
+    stops = pins["single"]["undecided"]
+    assert sorted(stops) == ["prestar:32", "prestar:61"]
+    cap = workloads.SINGLE_MAX_TRANSITIONS
+    assert cap == 4000
+    for qid, error in stops.items():
+        sysd = gen_random_system(int(qid.split(":")[1]), workloads.SINGLE_PROFILE)
+        a0 = accept_all_automaton(sysd.order, sysd.alphabet, sysd.controls,
+                                  [sysd.controls[-1]])
+        with pytest.raises(BudgetExceeded) as e:
+            prestar(sysd, a0, max_transitions=cap)
+        assert type(e.value).__name__ == error
+        assert (e.value.count, e.value.limit) == (cap + 1, cap), qid
 
 
 def test_eager_saturation_cap_message_names_limit_and_count(fix2):

@@ -7,6 +7,8 @@ from cpds import (
     Mcpds,
     NotSupported,
     Rule,
+    StackAutomaton,
+    State,
     VertexBudgetExceeded,
     bottom,
     envmove,
@@ -25,6 +27,7 @@ from cpds.oracle import (
     explore,
     gen_random_system,
 )
+from cpds.automata import copy_into
 from cpds.scopes import layered_seed, reachability_graph_dot, saturate_layer, surface
 
 from conftest import ask_in_shuffled_order, fix_sc
@@ -110,6 +113,62 @@ def test_shift_is_cached_per_revision():
                              frozenset(), (frozenset(), frozenset())))
     assert shift(a, WINDOW).canonical_key() == shift(a.copy(), WINDOW).canonical_key()
     assert shift(a, WINDOW).canonical_key() != again.canonical_key()
+
+
+def shift_image(a, window):
+    """The rename's image of ``a`` under the shift, before any pruning."""
+    n = a.order
+
+    def rename(s):
+        layer = a.layers.get(s)
+        if layer is None or layer >= window:
+            return None
+        if s.order < n:
+            return s
+        if cpds.scopes._is_layer_name(s):
+            return State(n, s.name[:2] + (layer + 1,) + s.name[3:])
+        return State(n, ("sh", s.name, layer + 1))
+
+    out = StackAutomaton(n, a.alphabet)
+    mapped = copy_into(out, a, rename, lift=1)
+    for (control, layer), s in a.layer_controls.items():
+        if layer < window and s in mapped:
+            out.remap_control(control, mapped[s], layer + 1)
+    out._fresh = a._fresh
+    return out
+
+
+def layout(a):
+    """Everything of ``a`` with its insertion orders."""
+    return ([list(a.states[k]) for k in a.states],
+            [list(a.finals[k]) for k in a.finals],
+            [list(a.delta_high[k].items()) for k in a.delta_high],
+            [(s, list(slots)) for s, slots in a.delta1.items()],
+            list(a.controls.items()), list(a.layer_controls.items()),
+            list(a.layers.items()), a._fresh)
+
+
+def test_shift_builds_the_pruned_image_in_one_copy(monkeypatch):
+    inputs = []
+    real = cpds.scopes._shift
+
+    def record(a, window):
+        inputs.append((a.copy(), window))
+        return real(a, window)
+
+    monkeypatch.setattr(cpds.scopes, "_shift", record)
+    scope_reachability(fix_sc(), 2, "c0", "c5")
+    prof = RandomProfile(order=2, controls=3, letters=2, stacks=2, rules=6)
+    for seed in (1, 2):
+        sysd = gen_random_system(seed, prof)
+        scope_global(sysd, 2, sysd.controls[-1])
+    assert len(inputs) >= 40
+    pruned_away = 0
+    for a, window in inputs:
+        got, image = real(a, window), shift_image(a, window)
+        assert layout(got) == layout(image.pruned())
+        pruned_away += image.state_count() - got.state_count()
+    assert pruned_away > 0
 
 
 def test_nonempty_on_layered_automata_does_not_depend_on_query_order():

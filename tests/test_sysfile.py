@@ -3,7 +3,6 @@ fixture documents of the benchmark."""
 
 import io
 import json
-import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -12,7 +11,8 @@ import pytest
 from cpds import cli
 from cpds.sysfile import dump_document, parse_system_file
 
-ROOT = Path(__file__).parent.parent
+from conftest import benchmark_workloads
+
 FIX = Path(__file__).parent / "fixtures"
 
 
@@ -100,12 +100,7 @@ def test_writer_takes_str_keys_only(doc):
 def check_benchmark_pins(prefix):
     """Run the benchmark's global queries whose id starts with ``prefix``
     and compare each document with its pin; returns how many it checked."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    pins = json.loads((ROOT / "perfbench" / "pins.json").read_text())
+    workloads, pins = benchmark_workloads()
     checked = 0
     for name in workloads.WORKLOADS:
         for q in workloads.build(name, 0).queries:
