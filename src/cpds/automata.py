@@ -165,9 +165,6 @@ class LongForm:
     def order(self) -> int:
         return len(self.targets)
 
-    def __lt__(self, other):
-        return self.key < other.key
-
     def rehead(self, head: State) -> "LongForm":
         return LongForm(head, self.letter, self.branch, self.targets)
 
@@ -1001,7 +998,13 @@ class StackAutomaton:
         for c, s in doc.get("controls", []):
             a.remap_control(_unjsonable(c), st(s))
         for s, l in doc.get("layers", []):
-            a.add_state(st(s), layer=l)
+            s = a.add_state(st(s), layer=l)
+            # layer controls are not written: a layered control state keeps
+            # the name ("q", control, layer) of its recorded layer
+            name = s.name
+            if (s.order == a.order and len(name) == 3 and name[0] == "q"
+                    and name[2] == l):
+                a.remap_control(name[1], s, l)
         return a
 
 

@@ -22,7 +22,6 @@ seed automata, shares its saturations across plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product, tee
 
 from . import stacks as ST
@@ -34,7 +33,6 @@ from .saturation import prestar
 from .systems import Mcpds, Rule
 
 __all__ = [
-    "PhasePlan",
     "build_pbcpds",
     "phase_reachability",
     "phase_global",
@@ -44,17 +42,6 @@ __all__ = [
 # back may open, before the solve stops
 _MAX_PRODUCT_TRANSITIONS = 4000
 _MAX_BRANCHES = 512
-
-
-@dataclass(frozen=True)
-class PhasePlan:
-    """Guessed boundary controls q^0..q^z and popping stacks s_1..s_z."""
-
-    boundaries: tuple
-    popping: tuple
-
-    def __post_init__(self):
-        assert len(self.boundaries) == len(self.popping) + 1
 
 
 def _is_product_control(ctl) -> bool:
@@ -289,20 +276,20 @@ class _PhaseSolver:
         results = RegularConfigSet(self.sys.order, m)
         seed = self.seed_autos(q_out)
         seed_sats = {}
-        for plan in self._plans(q_out):
-            s = plan.popping[-1]
+        for bounds, pops in self._plans(q_out):
+            s = pops[-1]
             if s not in seed_sats:
                 seed_sats[s] = self._saturations(seed, q_out, s)
             seed_sats[s], sats = tee(seed_sats[s])
-            frontier = list(self._entries(seed, sats, plan.boundaries[-2], s))
+            frontier = list(self._entries(seed, sats, bounds[-2], s))
             for i in range(self.z - 1, 0, -1):
                 if not frontier:
                     break
-                q_prev, q_cur = plan.boundaries[i - 1], plan.boundaries[i]
-                s = plan.popping[i - 1]
+                q_prev, q_cur = bounds[i - 1], bounds[i]
+                s = pops[i - 1]
                 frontier = [new for autos in frontier
                             for new in self.step_back(autos, q_prev, q_cur, s)]
-            q0 = plan.boundaries[0]
+            q0 = bounds[0]
             for autos in frontier:
                 results.add(RegTuple(
                     q0,
@@ -312,12 +299,13 @@ class _PhaseSolver:
         return results
 
     def _plans(self, q_out):
+        """Each plan: boundary controls q^0..q^z, popping stacks s_1..s_z."""
         controls = list(self.sys.controls)
         for q0 in controls:
             for mids in product(controls, repeat=self.z - 1):
                 bounds = (q0,) + mids + (q_out,)
                 for pops in product(range(self.sys.stacks), repeat=self.z):
-                    yield PhasePlan(bounds, pops)
+                    yield bounds, pops
 
 
 def phase_reachability(sys: Mcpds, z: int, q_in, q_out) -> bool:

@@ -13,9 +13,10 @@ where shift moves every layer up by one and deletes whatever would leave
 the window, envmove bridges the control change effected by the other
 stacks between the two rounds, and the saturation runs the stack's own
 rules against the layer-1 states.  A finite reachability graph over
-tuples of boundary controls and per-stack layered automata then decides
-reachability; its vertices are deduplicated by a canonical renaming of
-the automata.
+tuples of boundary controls and per-stack layered automata, its vertices
+deduplicated by a canonical renaming of the automata, is walked as one
+breadth-first vertex stream: verdicts, global sets and the DOT graph all
+read it, and only global sets surface the automata.
 """
 
 from __future__ import annotations
@@ -157,19 +158,18 @@ def envmove(a: StackAutomaton, control_from, control_to) -> StackAutomaton:
     return out
 
 
-def saturate_layer(j: int, sys: Mcpds, a: StackAutomaton,
-                   max_transitions: int | None = None) -> StackAutomaton:
-    """Saturate with stack j's rules against the layer-1 control states."""
-    for q in sys.controls:
-        a.control_state(q, 1)
+def saturate_layer(j: int, sys: Mcpds, a: StackAutomaton) -> StackAutomaton:
+    """Saturate with stack j's rules against the layer-1 control states.
+
+    ``prestar`` registers those states on its own copy; ``a`` is unchanged.
+    """
     sat, _ = prestar(ExplicitRules(sys.rule_sets[j], (), sys.controls), a,
-                     layer=1, check=False, max_transitions=max_transitions)
+                     layer=1, check=False, max_transitions=_MAX_TRANSITIONS)
     return sat
 
 
 def predecessor(j: int, sys: Mcpds, a: StackAutomaton, window: int,
-                control_end, control_next,
-                max_transitions: int | None = None) -> StackAutomaton:
+                control_end, control_next) -> StackAutomaton:
     """Prepend one round for stack j: shift, bridge, then saturate.
 
     ``control_end`` is the control closing stack j's segment in the new
@@ -177,9 +177,7 @@ def predecessor(j: int, sys: Mcpds, a: StackAutomaton, window: int,
     ``window`` is the retained layer count (scope bound plus one).
     """
     return saturate_layer(
-        j, sys, envmove(shift(a, window), control_end, control_next),
-        max_transitions,
-    )
+        j, sys, envmove(shift(a, window), control_end, control_next))
 
 
 def surface(a: StackAutomaton, window: int) -> StackAutomaton:
@@ -234,8 +232,7 @@ def initial_vertices(sys: Mcpds, zeta: int, q_out):
         key = (j, q_end)
         if key not in sat_memo:
             sat_memo[key] = saturate_layer(
-                j, sys, layered_seed(sys, window, q_end), _MAX_TRANSITIONS
-            )
+                j, sys, layered_seed(sys, window, q_end))
         return sat_memo[key]
 
     out = []
@@ -269,8 +266,7 @@ class _Graph:
                 aut = self.pred_memo.get(key)
                 if aut is None:
                     aut = predecessor(j, self.sys, v.autos[j], self.window,
-                                      qs[j + 1], v.controls[j],
-                                      _MAX_TRANSITIONS)
+                                      qs[j + 1], v.controls[j])
                     self.pred_memo[key] = aut
                 if aut.state_count() > self.bound:
                     raise VertexBudgetExceeded(
@@ -281,48 +277,46 @@ class _Graph:
             if _admissible(cand):
                 yield cand
 
-    def search(self, q_in, q_out, want_global: bool):
-        seen = {}
-        frontier = []
-        hit = False
-        results = []
+    def vertices(self, q_out):
+        """The graph's vertices into ``q_out``, breadth first.
+
+        Each vertex is yielded before its predecessors are computed, so a
+        consumer that stops early builds no more of the graph.
+        """
+        seen = set()
+        queue = []
         for v in initial_vertices(self.sys, self.zeta, q_out):
             k = v.key()
             if k not in seen:
-                seen[k] = v
-                frontier.append(v)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                if self._accepts_empty(v, q_in):
-                    hit = True
-                    if not want_global:
-                        return True, results
-                if want_global:
-                    results.append(v)
-                for p in self.predecessors(v):
-                    k = p.key()
-                    if k in seen:
-                        continue
-                    if len(seen) >= _MAX_VERTICES:
-                        raise VertexBudgetExceeded(
-                            "reachability graph budget", len(seen) + 1,
-                            "vertices", _MAX_VERTICES)
-                    seen[k] = p
-                    nxt.append(p)
-            frontier = nxt
-        return hit, results
+                seen.add(k)
+                queue.append(v)
+        # the queue grows while it is walked
+        for v in queue:
+            yield v
+            for p in self.predecessors(v):
+                k = p.key()
+                if k in seen:
+                    continue
+                if len(seen) >= _MAX_VERTICES:
+                    raise VertexBudgetExceeded(
+                        "reachability graph budget", len(seen) + 1,
+                        "vertices", _MAX_VERTICES)
+                seen.add(k)
+                queue.append(p)
 
-    def _accepts_empty(self, v: ReachVertex, q_in) -> bool:
-        if q_in is not None and v.controls[0] != q_in:
-            return False
-        bot = ST.bottom(self.sys.order)
-        for i, a in enumerate(v.autos):
-            s = surface(a, self.window)
-            if not (s.has_control(v.controls[i], 1)
-                    and s.member(v.controls[i], bot, layer=1)):
-                return False
-        return True
+
+def _accepts_empty(v: ReachVertex, q_in) -> bool:
+    """Does ``v`` accept the all-empty configuration at ``q_in``?
+
+    The automata are read as they are, not surfaced.  A run accepting the
+    empty stack from a layer-1 control state visits only chain labels,
+    which carry their head's layer, and empty target sets, since layered
+    automata have no final states.  ``surface`` keeps every layer below
+    the window (at least 2), so it would keep the whole run.
+    """
+    bot = ST.bottom(v.autos[0].order)
+    return v.controls[0] == q_in and all(
+        a.member(q, bot, layer=1) for q, a in zip(v.controls, v.autos))
 
 
 def scope_reachability(sys: Mcpds, zeta: int, q_in, q_out) -> bool:
@@ -330,14 +324,13 @@ def scope_reachability(sys: Mcpds, zeta: int, q_in, q_out) -> bool:
     if q_in == q_out:
         return True
     g = _Graph(sys, zeta)
-    hit, _ = g.search(q_in, q_out, want_global=False)
-    return hit
+    return any(_accepts_empty(v, q_in) for v in g.vertices(q_out))
 
 
 def reachability_graph_dot(sys: Mcpds, zeta: int, q_out) -> str:
     """DOT rendering of the explored reachability graph."""
     g = _Graph(sys, zeta)
-    _, vertices = g.search(None, q_out, want_global=True)
+    vertices = list(g.vertices(q_out))
     index = {v.key(): i for i, v in enumerate(vertices)}
     lines = ["digraph scope_reachability {", "  rankdir=LR;"]
     for i, v in enumerate(vertices):
@@ -356,22 +349,19 @@ def scope_global(sys: Mcpds, zeta: int, q_out) -> RegularConfigSet:
     """Tuples covering the configurations with a scope-bounded run to ``q_out``.
 
     Every reached vertex contributes the tuple of its automata, each
-    restricted to the layer-1 state of its segment-opening control.
+    surfaced (once per distinct automaton) and restricted to the layer-1
+    state of its segment-opening control.
     """
     g = _Graph(sys, zeta)
-    _, vertices = g.search(None, q_out, want_global=True)
     out = RegularConfigSet(sys.order, sys.stacks)
-    for v in vertices:
+    surfaced = {}
+    for v in g.vertices(q_out):
         autos = []
-        inits = []
-        ok = True
-        for i, a in enumerate(v.autos):
-            s = surface(a, g.window)
-            if not s.has_control(v.controls[i], 1):
-                ok = False
-                break
-            autos.append(s)
-            inits.append(s.require_control(v.controls[i], 1))
-        if ok:
-            out.add(RegTuple(v.controls[0], tuple(autos), tuple(inits)))
+        for a in v.autos:
+            key = (a.uid, a.revision)
+            if key not in surfaced:
+                surfaced[key] = surface(a, g.window)
+            autos.append(surfaced[key])
+        inits = [s.require_control(q, 1) for q, s in zip(v.controls, autos)]
+        out.add(RegTuple(v.controls[0], tuple(autos), tuple(inits)))
     return out

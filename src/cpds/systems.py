@@ -115,11 +115,6 @@ class Run:
     start: Configuration
     steps: list = field(default_factory=list)
 
-    def configurations(self):
-        out = [self.start]
-        out.extend(c for (_r, _i, c) in self.steps)
-        return out
-
     @property
     def final(self) -> Configuration:
         return self.steps[-1][2] if self.steps else self.start

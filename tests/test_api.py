@@ -61,6 +61,7 @@ def test_solvers_leave_module_tables_alone():
     for argv in (["global", "fix3.cpds", "--to", "q7"],
                  ["global", "fixph.cpds", "--to", "p4"],
                  ["global", "fixsc.cpds", "--to", "c5"],
+                 ["check", "fixsc.cpds", "--from", "c0", "--to", "c5"],
                  ["check", "fix2.cpds"]):
         argv[1] = str(fixtures / argv[1])
         with redirect_stdout(io.StringIO()):

@@ -247,6 +247,16 @@ def test_json_roundtrip():
             assert back.to_json() == aut.to_json()
 
 
+def test_json_roundtrip_keeps_layer_controls():
+    a = layered_seed(fix_sc(), 3, "c5")
+    back = StackAutomaton.from_json(json.loads(json.dumps(a.to_json())))
+    assert len(a.layer_controls) == 18
+    assert back.layer_controls == a.layer_controls
+    for w in enumerate_stacks(2, {"a", "b"}, 5):
+        for c in fix_sc().controls:
+            assert back.member(c, w, layer=1) == a.member(c, w, layer=1)
+
+
 def test_dot_export_mentions_states():
     a = exact_stack_automaton(2, {"a"}, {"q": [bottom(2)]})
     dot = a.to_dot()

@@ -299,3 +299,71 @@ def test_state_ceiling_names_limit_and_count(monkeypatch):
 def test_reachability_graph_dot():
     dot = reachability_graph_dot(fix_sc(), 2, "c5")
     assert dot.startswith("digraph") and "->" in dot
+
+
+def vertex_automata(sysd, zeta, q_out):
+    """Each distinct automaton of the graph's vertices into ``q_out``."""
+    autos = {}
+    for v in cpds.scopes._Graph(sysd, zeta).vertices(q_out):
+        for a in v.autos:
+            autos.setdefault((a.uid, a.revision), a)
+    return list(autos.values())
+
+
+def test_verdicts_need_no_surface():
+    # the argument of _accepts_empty: no finals, labels on their head's
+    # layer, so an accepting run of the empty stack stays below the window
+    prof = RandomProfile(order=2, controls=3, letters=2, stacks=2, rules=6,
+                         mode="unrestricted")
+    systems = [(fix_sc(), "c5")]
+    systems += [(s, s.controls[-1]) for s in
+                (gen_random_system(seed, prof) for seed in (1, 2))]
+    bot = bottom(2)
+    checked = accepted = trimmed = 0
+    for sysd, q_out in systems:
+        for zeta in (1, 2, 3):
+            for a in vertex_automata(sysd, zeta, q_out):
+                assert not any(a.finals[k] for k in a.finals)
+                a.check_invariants(layered=True)
+                s = surface(a, zeta + 1)
+                trimmed += s.transition_count() < a.transition_count()
+                for q in a.control_states(1):
+                    got = a.member(q, bot, layer=1)
+                    assert got == s.member(q, bot, layer=1), (q, zeta)
+                    accepted += got
+                checked += 1
+    assert checked >= 100 and accepted and trimmed
+
+
+def count_surface_calls(monkeypatch):
+    calls = []
+    real = cpds.scopes.surface
+    monkeypatch.setattr(cpds.scopes, "surface",
+                        lambda a, window: calls.append(a) or real(a, window))
+    return calls
+
+
+def test_scope_verdicts_do_not_surface(monkeypatch):
+    calls = count_surface_calls(monkeypatch)
+    assert scope_reachability(fix_sc(), 2, "c0", "c5") is True
+    assert calls == []
+
+
+def test_scope_global_surfaces_each_vertex_automaton_once(monkeypatch):
+    calls = count_surface_calls(monkeypatch)
+    scope_global(fix_sc(), 2, "c5")
+    assert len(calls) == 26
+    assert len({(a.uid, a.revision) for a in calls}) == 26
+
+
+def test_saturate_layer_and_predecessor_leave_their_input_alone():
+    sysd = fix_sc()
+    # no layer-1 controls: the saturation registers them on its own copy
+    a = shift(layered_seed(sysd, WINDOW, "c5"), WINDOW)
+    revision = a.revision
+    sat = saturate_layer(0, sysd, a)
+    assert a.revision == revision and not a.control_states(1)
+    assert sat.control_states(1) == list(sysd.controls)
+    revision = sat.revision
+    predecessor(1, sysd, sat, WINDOW, "c2", "c4")
+    assert sat.revision == revision
