@@ -715,15 +715,12 @@ class StackAutomaton:
     def check_invariants(self, layered: bool = False, max_top_set: int | None = None):
         """Raise on any structural violation; cheap enough to run in tests."""
         for k in range(2, self.order + 1):
-            seen = {}
             for (src, targets), label in self.delta_high[k].items():
                 if src.order != k or label.order != k - 1:
                     raise OrderMismatch(f"order skew in delta_{k}")
                 for t in targets:
                     if t.order != k:
                         raise OrderMismatch(f"target order skew in delta_{k}")
-                if seen.setdefault((src, targets), label) != label:
-                    raise PreconditionViolation("determinism broken at order >= 2")
                 if max_top_set is not None and k == self.order and len(targets) > max_top_set:
                     raise PreconditionViolation("top-order target set exceeds bound")
                 if layered:

@@ -160,8 +160,7 @@ def cmd_check(args) -> int:
     witness = None
     if reachable and not sf.targets:
         probe = control_reachability_oracle(
-            sysd if sf.mode_kind != "single" else sysd.with_mode("unrestricted"),
-            q_in, q_out, ExploreBounds(24, 40, 4000),
+            sysd, q_in, q_out, ExploreBounds(24, 40, 4000),
         )
         if probe.kind == "reachable":
             witness = format_run(probe.witness)

@@ -49,6 +49,7 @@ from .systems import (
     Mcpds,
     Rule,
     add_clearing_rules,
+    bottom_rule_ok,
     normalize_ordered,
 )
 
@@ -151,16 +152,10 @@ def build_leftcpda(sys: Mcpds) -> LeftCpda:
 
 
 def _require_normalized(sys: Mcpds):
-    m = sys.stacks
-    for i in range(m - 1):
-        for r in sys.rule_sets[i]:
-            if r.letter != BOTTOM:
-                continue
-            if r.op.kind == "push" and r.op.k == sys.order:
-                continue
-            if r.op.kind in ("pop", "collapse", "rew"):
-                continue  # cannot fire on an empty stack
-            raise NotNormalized(f"bottom rule {r!r} on stack {i + 1}")
+    for i, rs in enumerate(sys.rule_sets):
+        for r in rs:
+            if not bottom_rule_ok(r, i, sys.stacks - 1, sys.order):
+                raise NotNormalized(f"bottom rule {r!r} on stack {i + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +260,6 @@ class CpdaLang:
         raise LanguageQueryFailure("segment languages are not enumerable")
 
     def initials(self, aut: StackAutomaton, t2: LongForm):
-        if state_control(t2.head) != self.q2:
-            return []
         out = {}
         for x in self.solver.langcheck_batch(self.left, aut, self.q1, self.a,
                                              t2, self.b, self.i):
@@ -423,28 +416,24 @@ class OrderedSolver:
         if m == 1:
             b = self._prestar_last(sys, target_control)
             for q in sys.controls:
-                if b.has_control(q):
-                    out.add(RegTuple(q, (b,), (b.require_control(q),)))
+                out.add(RegTuple(q, (b,), (b.require_control(q),)))
             return out
         left = build_leftcpda(sys)
         bm = self._prestar_last(sys, target_control, left)
         bot_aut = exact_stack_automaton(n, sys.alphabet, {"root": [ST.bottom(n)]})
         bot_init = bot_aut.require_control("root")
         for q in sys.controls:
-            if bm.has_control(q):
-                out.add(RegTuple(
-                    q,
-                    (bot_aut,) * (m - 1) + (bm,),
-                    (bot_init,) * (m - 1) + (bm.require_control(q),),
-                ))
+            out.add(RegTuple(
+                q,
+                (bot_aut,) * (m - 1) + (bm,),
+                (bot_init,) * (m - 1) + (bm.require_control(q),),
+            ))
         # descend: guess the exit control and final transition of the last
         # stack; the product over the remaining stacks that tracks its
         # transition automaton in the control is the one the language
         # queries solve, so its memoised solution is spliced back
         spliced = {}  # x -> bm re-rooted at x, shared by every tuple ending in x
         for q2 in sys.controls:
-            if not bm.has_control(q2):
-                continue
             for tprime in bm.long_forms_from(bm.require_control(q2)):
                 sub = self._product_global(left, bm, tprime)
                 for tup in sub.tuples:

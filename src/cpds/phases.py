@@ -81,17 +81,14 @@ class _PbSource:
     def seed_controls(self):
         return [self.q_cur]
 
-    def _noop_preds(self, q, qdst, ta):
-        """Simultaneous no-effect moves of all tracked components."""
-        out = {}
-        for j, t2 in ta:
-            aut = self.autos[j]
-            noop_rule = Rule(q, t2.letter, ST.noop(), qdst)
-            preds = ta_predecessors(noop_rule, t2, aut)
-            if not preds:
-                return None
-            out[j] = preds[0]
-        return tuple((j, out[j]) for j, _t in ta)
+    def _noop_preds(self, q, ta):
+        """Simultaneous no-effect moves of all tracked components into ``ta``.
+
+        Every tracked transition of a product control ``(q2, ta)`` is headed
+        at its automaton's state for ``q2``, so each component's one
+        no-effect predecessor is the transition re-headed at ``q``.
+        """
+        return tuple((j, t.rehead(self.autos[j].peek_control(q))) for j, t in ta)
 
     def rules_into(self, dst):
         out = []
@@ -106,19 +103,13 @@ class _PbSource:
         q2, ta2 = dst
         # rules of the popping stack: apply for real, others move by noop
         for r in self._into_s.get(q2, ()):
-            ta1 = self._noop_preds(r.src, r.dst, ta2)
-            if ta1 is not None:
-                out.append(Rule((r.src, ta1), r.letter, r.op, dst))
+            out.append(Rule((r.src, self._noop_preds(r.src, ta2)), r.letter,
+                            r.op, dst))
         # generating rules of other stacks: pure control moves
         for (j, r) in self._into_other.get(q2, ()):
-            t2 = dict(ta2).get(j)
-            if t2 is None:
-                continue
-            for t1 in ta_predecessors(r, t2, self.autos[j]):
+            for t1 in ta_predecessors(r, dict(ta2)[j], self.autos[j]):
                 rest = tuple((jj, tt) for (jj, tt) in ta2 if jj != j)
-                ta1 = self._noop_preds(r.src, r.dst, rest)
-                if ta1 is None:
-                    continue
+                ta1 = self._noop_preds(r.src, rest)
                 merged = tuple(sorted(ta1 + ((j, t1),)))
                 for a in letters:
                     out.append(Rule((r.src, merged), a, ST.noop(), dst))
@@ -180,14 +171,8 @@ class _PhaseSolver:
         transitions.  The product does not read the previous boundary
         control, so every choice of it can share these."""
         others = [j for j in range(self.sys.stacks) if j != s]
-        tprime_options = []
-        for j in others:
-            aut = autos[j]
-            head = aut.peek_control(q_cur)
-            opts = aut.long_forms_from(head)
-            if not opts:
-                return
-            tprime_options.append(opts)
+        tprime_options = [autos[j].long_forms_from(autos[j].peek_control(q_cur))
+                          for j in others]
         for choice in product(*tprime_options):
             tprimes = dict(zip(others, choice))
             source = build_pbcpds(self.sys, s, autos, tprimes, q_cur)
@@ -208,12 +193,9 @@ class _PhaseSolver:
                 new_autos = {}
                 # popping stack: re-root on the entry vector's product state
                 entry_state = sat.require_control((q_prev, ta))
-                lfs = sat.long_forms_from(entry_state)
-                if not lfs:
-                    continue
                 spliced = self._clean_copy(sat)
                 root = self._fresh_ctl(spliced, q_prev)
-                for t in lfs:
+                for t in sat.long_forms_from(entry_state):
                     spliced.add_long_form(t.rehead(root))
                 new_autos[s] = spliced
                 # other stacks: splice the guessed initial transition

@@ -118,10 +118,8 @@ def _shift(a: StackAutomaton, window: int) -> StackAutomaton:
                 continue
             if s.order < n:
                 image[s] = s
-            elif _is_layer_name(s):
-                image[s] = State(n, s.name[:2] + (layer + 1,) + s.name[3:])
-            else:
-                image[s] = State(n, ("sh", s.name, layer + 1))
+            else:  # a layered control state ("q", control, layer)
+                image[s] = State(n, s.name[:2] + (layer + 1,))
     active = a.active_states(image)
     out = StackAutomaton(n, a.alphabet)
     mapped = copy_into(out, a, lambda s: image[s] if s in active else None,
@@ -131,14 +129,6 @@ def _shift(a: StackAutomaton, window: int) -> StackAutomaton:
             out.remap_control(control, mapped[s], layer + 1)
     out._fresh = a._fresh
     return out
-
-
-def _is_layer_name(s: State) -> bool:
-    return (
-        len(s.name) >= 3
-        and s.name[0] == "q"
-        and isinstance(s.name[2], int)
-    )
 
 
 def envmove(a: StackAutomaton, control_from, control_to) -> StackAutomaton:
@@ -213,13 +203,8 @@ class ReachVertex:
 
 def _admissible(vertex: ReachVertex) -> bool:
     """Each automaton accepts some stack at its segment-opening state."""
-    for i, a in enumerate(vertex.autos):
-        q = vertex.controls[i]
-        if not a.has_control(q, 1):
-            return False
-        if not a.nonempty([a.require_control(q, 1)]):
-            return False
-    return True
+    return all(a.nonempty([a.require_control(q, 1)])
+               for q, a in zip(vertex.controls, vertex.autos))
 
 
 def initial_vertices(sys: Mcpds, zeta: int, q_out):
@@ -254,6 +239,7 @@ class _Graph:
         self.window = zeta + 1
         self.bound = sbmax(zeta, len(sys.controls), sys.order)
         self.pred_memo = {}
+        self.edges = []  # (predecessor key, vertex key), as the walk admits them
 
     def predecessors(self, v: ReachVertex):
         """Source vertices of edges into ``v`` (one round earlier)."""
@@ -261,7 +247,7 @@ class _Graph:
         for qs in product(*[self.sys.controls] * m, [v.controls[0]]):
             autos = []
             for j in range(m):
-                key = (v.autos[j].uid, v.autos[j].revision, qs[j + 1],
+                key = (j, v.autos[j].uid, v.autos[j].revision, qs[j + 1],
                        v.controls[j])
                 aut = self.pred_memo.get(key)
                 if aut is None:
@@ -281,7 +267,8 @@ class _Graph:
         """The graph's vertices into ``q_out``, breadth first.
 
         Each vertex is yielded before its predecessors are computed, so a
-        consumer that stops early builds no more of the graph.
+        consumer that stops early builds no more of the graph.  Every
+        predecessor found is recorded in ``edges``.
         """
         seen = set()
         queue = []
@@ -289,20 +276,21 @@ class _Graph:
             k = v.key()
             if k not in seen:
                 seen.add(k)
-                queue.append(v)
+                queue.append((k, v))
         # the queue grows while it is walked
-        for v in queue:
+        for k, v in queue:
             yield v
             for p in self.predecessors(v):
-                k = p.key()
-                if k in seen:
+                pk = p.key()
+                self.edges.append((pk, k))
+                if pk in seen:
                     continue
                 if len(seen) >= _MAX_VERTICES:
                     raise VertexBudgetExceeded(
                         "reachability graph budget", len(seen) + 1,
                         "vertices", _MAX_VERTICES)
-                seen.add(k)
-                queue.append(p)
+                seen.add(pk)
+                queue.append((pk, p))
 
 
 def _accepts_empty(v: ReachVertex, q_in) -> bool:
@@ -336,11 +324,8 @@ def reachability_graph_dot(sys: Mcpds, zeta: int, q_out) -> str:
     for i, v in enumerate(vertices):
         label = " ".join(str(c) for c in v.controls)
         lines.append(f'  v{i} [shape=box label="{label}"];')
-    for v in vertices:
-        for p in g.predecessors(v):
-            j = index.get(p.key())
-            if j is not None:
-                lines.append(f"  v{j} -> v{index[v.key()]};")
+    for pk, k in g.edges:
+        lines.append(f"  v{index[pk]} -> v{index[k]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -55,7 +55,6 @@ class SystemFile:
     targets: dict = field(default_factory=dict)  # control -> [stacks]
     query_from: object = None
     query_to: object = None
-    bound: int | None = None
 
     @property
     def mode_kind(self) -> str:
@@ -96,7 +95,6 @@ def _parse_rule(tokens, lineno) -> Rule:
 def parse_system_file(text: str) -> SystemFile:
     order = stacks = None
     mode = "single"
-    bound = None
     alphabet: list = []
     controls: list = []
     rule_sets: dict = {}
@@ -120,8 +118,7 @@ def parse_system_file(text: str) -> SystemFile:
             if toks[1] in ("single", "ordered", "unrestricted"):
                 mode = toks[1]
             elif toks[1] in ("phase", "scope") and len(toks) == 3:
-                bound = int(toks[2])
-                mode = (toks[1], bound)
+                mode = (toks[1], int(toks[2]))
             else:
                 raise ParseError(f"line {lineno}: bad mode {line!r}")
         elif head == "alphabet":
@@ -182,7 +179,7 @@ def parse_system_file(text: str) -> SystemFile:
             raise ParseError(f"line {lineno}: undeclared target control {ctl!r}")
         w = ST.decode(enc, order) if enc else ST.bottom(order)
         targets.setdefault(ctl, []).append(w)
-    return SystemFile(system, targets, query_from, query_to, bound)
+    return SystemFile(system, targets, query_from, query_to)
 
 
 def _parse_word(body: str, lineno):

@@ -143,13 +143,8 @@ class Mcpds:
         self.mode = mode
         if len(self.ext_rule_sets) != len(self.rule_sets):
             raise ArityMismatch("one extended rule set per stack expected")
-        if mode == "single" or mode == "unrestricted":
-            pass
-        elif mode == "ordered":
-            pass
-        elif isinstance(mode, tuple) and mode[0] in ("phase", "scope"):
-            pass
-        else:
+        if not (mode in ("single", "unrestricted", "ordered")
+                or isinstance(mode, tuple) and mode[0] in ("phase", "scope")):
             raise ArityMismatch(f"unknown mode {mode!r}")
         if any(self.ext_rule_sets[i] for i in range(self.stacks)) and self.stacks > 1:
             raise ArityMismatch("extended rules are single-stack only")
@@ -385,19 +380,20 @@ def validate_phase(run: Run, z: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def bottom_rule_ok(r: Rule, stack_index: int, last_stack: int) -> bool:
-    """Is a bottom-letter rule acceptable for the ordered reduction?
+def bottom_rule_ok(r: Rule, stack_index: int, last_stack: int, order: int) -> bool:
+    """Is a rule in the ordered bottom normal form?
 
     Rules of the last stack are unrestricted.  For earlier stacks a rule on
-    the bottom symbol must either push (a top-order push opens a non-empty
-    segment; lower pushes are rejected later) or be undefined on the empty
-    stack (pop, collapse and rewrite can never fire on a bare bottom), so
-    that no rule of an earlier stack fires while all earlier stacks are
-    empty.
+    the bottom symbol must either push at the top order (opening a
+    non-empty segment) or be undefined on the empty stack (pop, collapse
+    and rewrite can never fire on a bare bottom), so that no rule of an
+    earlier stack fires while all earlier stacks are empty.
     """
     if stack_index == last_stack or r.letter != BOTTOM:
         return True
-    return r.op.kind in ("push", "pop", "collapse", "rew")
+    if r.op.kind == "push":
+        return r.op.k == order
+    return r.op.kind in ("pop", "collapse", "rew")
 
 
 def normalize_ordered(sys: Mcpds) -> Mcpds:
@@ -419,21 +415,20 @@ def normalize_ordered(sys: Mcpds) -> Mcpds:
     for i in range(m):
         kept = []
         for r in sys.rule_sets[i]:
-            if bottom_rule_ok(r, i, last):
-                if r.letter == BOTTOM and i != last and r.op.kind == "push" and r.op.k != sys.order:
-                    raise NotNormalized(
-                        f"bottom push below the top order on stack {i + 1}: {r!r}"
-                    )
+            if bottom_rule_ok(r, i, last, sys.order):
                 kept.append(r)
-                continue
-            if r.op.kind == "noop" and i == 0:
+            elif r.op.kind == "noop" and i == 0:
                 mid = ("n", r.src, r.dst, len(controls))
                 controls.append(mid)
                 kept.append(Rule(r.src, BOTTOM, ST.push(scratch, sys.order), mid))
                 kept.append(Rule(mid, scratch, ST.pop(1), r.dst))
                 need_scratch = True
-                continue
-            raise NotNormalized(f"no sound rewrite for bottom rule {r!r} on stack {i + 1}")
+            elif r.op.kind == "push":
+                raise NotNormalized(
+                    f"bottom push below the top order on stack {i + 1}: {r!r}"
+                )
+            else:
+                raise NotNormalized(f"no sound rewrite for bottom rule {r!r} on stack {i + 1}")
         new_sets[i] = kept
     alphabet = set(sys.alphabet) | ({scratch} if need_scratch else set())
     return Mcpds(sys.order, alphabet, controls, new_sets, "ordered", sys.ext_rule_sets)

@@ -62,6 +62,8 @@ def test_solvers_leave_module_tables_alone():
                  ["global", "fixph.cpds", "--to", "p4"],
                  ["global", "fixsc.cpds", "--to", "c5"],
                  ["check", "fixsc.cpds", "--from", "c0", "--to", "c5"],
+                 ["check", "fixph.cpds"],
+                 ["check", "fix3.cpds"],
                  ["check", "fix2.cpds"]):
         argv[1] = str(fixtures / argv[1])
         with redirect_stdout(io.StringIO()):

@@ -106,6 +106,10 @@ def test_determinism_at_high_orders_enforced():
     l1 = a.add_high_transition(q, [])
     l2 = a.add_high_transition(q, [])
     assert l1 is l2
+    # delta_high maps each (source, targets) to one label, so a new label
+    # for a present pair is never stored
+    assert a.add_high_transition(q, [], label=State(1, ("other",))) is l1
+    assert list(a.delta_high[2].values()) == [l1]
     a.check_invariants()
 
 

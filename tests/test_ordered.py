@@ -17,7 +17,7 @@ from cpds import (
     ordered_reachability,
 )
 from cpds.automata import exact_stack_automaton, flat_key
-from cpds.extended import prestar_extended
+from cpds.extended import prestar_extended, state_control
 from cpds.oracle import (
     ExploreBounds,
     RandomProfile,
@@ -26,7 +26,7 @@ from cpds.oracle import (
     explore,
     gen_random_system,
 )
-from cpds.ordered import OrderedSolver
+from cpds.ordered import CpdaLang, OrderedSolver, _require_normalized
 from cpds.systems import add_clearing_rules
 
 from conftest import fix3, fix3_blocked
@@ -242,3 +242,61 @@ def test_product_control_budget_names_limit_and_count(monkeypatch):
                        match=r"product control budget exceeded: 3 controls, limit 2") as e:
         ordered_global(fix3(), "q7")
     assert (e.value.count, e.value.limit) == (3, 2)
+
+
+def test_solves_keep_their_construction_invariants(monkeypatch):
+    # the last-stack saturation registers every declared control, so the
+    # global solve may require each one; and the extended pass asks a
+    # segment language only about transitions headed at its exit control
+    registered, asked = [], []
+    real_last = OrderedSolver._prestar_last
+    real_initials = CpdaLang.initials
+
+    def prestar_last(self, sys, target_control, left=None):
+        b = real_last(self, sys, target_control, left)
+        registered.append(all(b.has_control(q) for q in sys.controls))
+        return b
+
+    def initials(self, aut, t2):
+        asked.append(state_control(t2.head) == self.q2)
+        return real_initials(self, aut, t2)
+
+    monkeypatch.setattr(OrderedSolver, "_prestar_last", prestar_last)
+    monkeypatch.setattr(CpdaLang, "initials", initials)
+    ordered_global(fix3(), "q7")
+    ordered_global(fix3_blocked(), "q7")
+    prof = RandomProfile(order=2, controls=3, letters=2, stacks=2, rules=6,
+                         mode="ordered")
+    for seed in range(1, 6):
+        sysd = gen_random_system(seed, prof)
+        ordered_global(sysd, sysd.controls[-1])
+    assert len(registered) >= 20 and all(registered)
+    assert len(asked) >= 100 and all(asked)
+
+
+def test_bottom_normal_form_has_one_owner():
+    # the right system accepts a system exactly when normalising leaves it
+    # as it is: one-rule systems, one for each bottom-rule kind and stack
+    ops = [ST.noop(), ST.rew("a"), ST.push("a", 1), ST.push("a", 2),
+           ST.pop(1), ST.pop(2), ST.copy(2), ST.collapse(2)]
+    outcomes = set()
+    for i in range(3):
+        for op in ops:
+            rule_sets = [[], [], []]
+            rule_sets[i] = [Rule("p", ST.BOTTOM, op, "q")]
+            sysd = Mcpds(2, {"a"}, ["p", "q"], rule_sets, "ordered")
+            try:
+                norm = normalize_ordered(sysd)
+            except NotNormalized:
+                norm = None
+            unchanged = norm is not None and (
+                (norm.controls, norm.alphabet, norm.rule_sets)
+                == (sysd.controls, sysd.alphabet, sysd.rule_sets))
+            try:
+                _require_normalized(sysd)
+                accepted = True
+            except NotNormalized:
+                accepted = False
+            assert accepted == unchanged, (i, op)
+            outcomes.add((accepted, norm is None))
+    assert outcomes == {(True, False), (False, False), (False, True)}

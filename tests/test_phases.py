@@ -8,12 +8,14 @@ from cpds import (
     Mcpds,
     NotSupported,
     Rule,
+    StackAutomaton,
     bottom,
     build_pbcpds,
     phase_global,
     phase_reachability,
     prestar,
 )
+from cpds.extended import ta_predecessors
 from cpds.oracle import (
     ExploreBounds,
     RandomProfile,
@@ -209,3 +211,100 @@ def test_phase_global_isolated_target_empty():
     # only z itself can "reach" z
     assert gset.member(Configuration("z", (bottom(2), bottom(2))))
     assert not gset.member(Configuration("x", (bottom(2), bottom(2))))
+
+
+def reference_rules_into(source, dst):
+    """``rules_into`` with a transition-automaton predecessor per tracked
+    component, the construction noop moves reduce to (reference)."""
+    def noop_preds(q, qdst, ta):
+        out = []
+        for j, t2 in ta:
+            rule = Rule(q, t2.letter, ST.noop(), qdst)
+            preds = ta_predecessors(rule, t2, source.autos[j])
+            if not preds:
+                return None
+            out.append((j, preds[0]))
+        return tuple(out)
+
+    sysd, s = source.sys, source.s
+    letters = list(sysd.alphabet)
+    if dst == source.q_cur:
+        src = (source.q_cur, tuple(sorted(source.tprimes.items())))
+        return [Rule(src, a, ST.noop(), source.q_cur) for a in letters]
+    if not cpds.phases._is_product_control(dst):
+        return []
+    q2, ta2 = dst
+    out = []
+    for r in sysd.rule_sets[s]:
+        if r.dst != q2:
+            continue
+        ta1 = noop_preds(r.src, r.dst, ta2)
+        if ta1 is not None:
+            out.append(Rule((r.src, ta1), r.letter, r.op, dst))
+    for j in range(sysd.stacks):
+        for r in sysd.rule_sets[j]:
+            if j == s or r.consuming or r.dst != q2:
+                continue
+            t2 = dict(ta2).get(j)
+            if t2 is None:
+                continue
+            for t1 in ta_predecessors(r, t2, source.autos[j]):
+                rest = tuple((jj, tt) for (jj, tt) in ta2 if jj != j)
+                ta1 = noop_preds(r.src, r.dst, rest)
+                if ta1 is None:
+                    continue
+                merged = tuple(sorted(ta1 + ((j, t1),)))
+                for a in letters:
+                    out.append(Rule((r.src, merged), a, ST.noop(), dst))
+    return out
+
+
+def test_product_noop_moves_are_reheads(monkeypatch):
+    # every tracked transition of a product control (q, ta) is headed at its
+    # automaton's state for q, so each noop predecessor exists and is that
+    # transition re-headed; and every admissible entry has long forms
+    asked = []
+    real_rules = cpds.phases._PbSource.rules_into
+    real_entries = cpds.phases._PhaseSolver._admissible_entries
+
+    def rules_into(self, dst):
+        got = real_rules(self, dst)
+        assert got == reference_rules_into(self, dst), dst
+        asked.append(cpds.phases._is_product_control(dst))
+        return got
+
+    def admissible_entries(self, sat, q_prev):
+        got = real_entries(self, sat, q_prev)
+        for ta in got:
+            assert sat.long_forms_from(sat.require_control((q_prev, ta)))
+        return got
+
+    monkeypatch.setattr(cpds.phases._PbSource, "rules_into", rules_into)
+    monkeypatch.setattr(cpds.phases._PhaseSolver, "_admissible_entries",
+                        admissible_entries)
+    for z in (1, 2, 3):
+        phase_global(fix_ph(), z, "p4")
+    prof = RandomProfile(order=2, controls=3, letters=2, stacks=2, rules=6,
+                         mode="unrestricted")
+    for seed in range(1, 7):
+        sysd = gen_random_system(seed, prof)
+        for z in (1, 2):
+            phase_reachability(sysd, z, sysd.controls[0], sysd.controls[-1])
+    assert sum(asked) >= 1000
+
+
+def test_saturations_need_a_final_transition_on_every_other_stack(
+        monkeypatch):
+    # a product over an empty option list has no element, so no saturation
+    calls = []
+    monkeypatch.setattr(cpds.phases, "prestar",
+                        lambda *args, **kw: calls.append(1) or prestar(*args, **kw))
+    solver = cpds.phases._PhaseSolver(fix_ph(), 1)
+    seed = solver.seed_autos("p4")
+    bare = StackAutomaton(2, seed[1].alphabet)
+    bare.control_state("p4")
+    assert list(solver._saturations({0: seed[0], 1: bare}, "p4", 0)) == []
+    # one saturation per final transition of the other stack otherwise
+    tprimes = seed[1].long_forms_from(seed[1].require_control("p4"))
+    assert len(list(solver._saturations(seed, "p4", 0))) == len(tprimes) == 3
+    assert len(calls) == 3

@@ -125,7 +125,7 @@ def shift_image(a, window):
             return None
         if s.order < n:
             return s
-        if cpds.scopes._is_layer_name(s):
+        if len(s.name) >= 3 and s.name[0] == "q" and isinstance(s.name[2], int):
             return State(n, s.name[:2] + (layer + 1,) + s.name[3:])
         return State(n, ("sh", s.name, layer + 1))
 
@@ -367,3 +367,68 @@ def test_saturate_layer_and_predecessor_leave_their_input_alone():
     revision = sat.revision
     predecessor(1, sysd, sat, WINDOW, "c2", "c4")
     assert sat.revision == revision
+
+
+def test_layered_automata_keep_their_construction_invariants(monkeypatch):
+    # every top-order state is a layered control state ("q", c, layer), so
+    # the shift renames it to ("q", c, layer + 1); every saturate_layer
+    # output registers every control at layer 1, so admissibility may
+    # require its segment-opening state
+    sats, shifted = [], []
+    real_sat, real_shift = cpds.scopes.saturate_layer, cpds.scopes._shift
+    monkeypatch.setattr(cpds.scopes, "saturate_layer",
+                        lambda *args: sats.append(real_sat(*args)) or sats[-1])
+    monkeypatch.setattr(cpds.scopes, "_shift",
+                        lambda a, window: shifted.append(a) or real_shift(a, window))
+    prof = RandomProfile(order=2, controls=3, letters=2, stacks=2, rules=6,
+                         mode="unrestricted")
+    systems = [(fix_sc(), fix_sc().controls)]
+    systems += [(s, s.controls[-1:]) for s in
+                (gen_random_system(seed, prof) for seed in (1, 2))]
+    checked = 0
+    for sysd, targets in systems:
+        for zeta in (1, 2, 3):
+            for q_out in targets:
+                sats.clear()
+                shifted.clear()
+                autos = vertex_automata(sysd, zeta, q_out)
+                for a in sats:
+                    assert set(a.control_states(1)) == set(sysd.controls)
+                for a in autos + shifted:
+                    for s in a.states[a.order]:
+                        q, c, layer = s.name
+                        assert q == "q" and c in sysd.controls
+                        assert layer == a.layers[s]
+                        assert a.layer_controls[(c, layer)] == s
+                    checked += 1
+    assert checked >= 1000
+
+
+def test_predecessor_memo_keeps_stack_positions_apart():
+    # one automaton at both positions of a vertex whose two segment
+    # controls agree: the memo must not hand stack 1's round to stack 2
+    sysd = fix_sc()
+    g = cpds.scopes._Graph(sysd, 2)
+    a = saturate_layer(0, sysd, layered_seed(sysd, g.window, "c5"))
+    checked = shared = 0
+    for c in sysd.controls:
+        v = cpds.scopes.ReachVertex((c, c, "c5"), (a, a))
+        for p in g.predecessors(v):
+            for j in range(2):
+                want = predecessor(j, sysd, a, g.window, p.controls[j + 1], c)
+                assert p.autos[j].canonical_key() == want.canonical_key(), (
+                    p.controls, j)
+                checked += 1
+            shared += p.controls[1] == c
+    assert checked and shared
+
+
+def test_graph_dot_draws_the_walk_edges(monkeypatch):
+    calls = []
+    real = cpds.scopes._Graph.predecessors
+    monkeypatch.setattr(cpds.scopes._Graph, "predecessors",
+                        lambda self, v: calls.append(v) or real(self, v))
+    dot = reachability_graph_dot(fix_sc(), 2, "c5")
+    vertices = dot.count("[shape=box")
+    assert len(calls) == vertices > 1
+    assert len({id(v) for v in calls}) == vertices
