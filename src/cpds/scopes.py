@@ -16,13 +16,16 @@ rules against the layer-1 states.  A finite reachability graph over
 tuples of boundary controls and per-stack layered automata, its vertices
 deduplicated by a canonical renaming of the automata, is walked as one
 breadth-first vertex stream: verdicts, global sets and the DOT graph all
-read it, and only global sets surface the automata.
+read it, and only global sets surface the automata.  Stack j's new round
+depends only on the control opening its next segment, and it is admissible
+when it accepts some stack at its own opening control, so a vertex's
+predecessors are enumerated as admissible control chains, last stack
+first, building only the rounds that some admissible suffix needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import stacks as ST
 from .automata import LongForm, StackAutomaton, State, copy_into, flat_key
@@ -119,7 +122,10 @@ def _shift(a: StackAutomaton, window: int) -> StackAutomaton:
             if s.order < n:
                 image[s] = s
             else:  # a layered control state ("q", control, layer)
-                image[s] = State(n, s.name[:2] + (layer + 1,))
+                # a's own state of the next layer comes with its keys cached
+                up = a.layer_controls.get((s.name[1], layer + 1))
+                image[s] = up if up is not None else State(
+                    n, s.name[:2] + (layer + 1,))
     active = a.active_states(image)
     out = StackAutomaton(n, a.alphabet)
     mapped = copy_into(out, a, lambda s: image[s] if s in active else None,
@@ -201,32 +207,38 @@ class ReachVertex:
         )
 
 
-def _admissible(vertex: ReachVertex) -> bool:
-    """Each automaton accepts some stack at its segment-opening state."""
-    return all(a.nonempty([a.require_control(q, 1)])
-               for q, a in zip(vertex.controls, vertex.autos))
+def _chains(controls, q_last, stacks: int, component):
+    """The admissible vertices ``q_0 .. q_m`` with ``q_m = q_last``.
+
+    ``component(j, q_next)`` is stack j's automaton when ``q_next`` opens
+    its following segment; it admits ``q_j`` when it accepts some stack at
+    the layer-1 state of ``q_j``.  The chains are built from the last stack
+    back to the first: stack j's component is built only for the controls
+    that open an admissible suffix, and asked once per control whether it
+    admits it.  The vertices come in the lexicographic order of
+    ``controls^m x {q_last}``, ``q_0`` outermost.
+    """
+    # the admissible (q_j .. q_m, A_j .. A_m-1) by q_j, all in order
+    suffixes = {q_last: [((q_last,), ())]}
+    for j in range(stacks - 1, -1, -1):
+        longer = {}
+        for q_next, tails in suffixes.items():
+            a = component(j, q_next)
+            for q in controls:
+                if a.nonempty([a.require_control(q, 1)]):
+                    longer.setdefault(q, []).extend(
+                        ((q,) + qs, (a,) + autos) for qs, autos in tails)
+        suffixes = {q: longer[q] for q in controls if q in longer}
+    return [ReachVertex(qs, autos)
+            for tails in suffixes.values() for qs, autos in tails]
 
 
 def initial_vertices(sys: Mcpds, zeta: int, q_out):
     """Vertices modelling a run's final round, ending at ``q_out``."""
     window = zeta + 1
-    m = sys.stacks
-    sat_memo = {}
-
-    def saturated(j, q_end):
-        key = (j, q_end)
-        if key not in sat_memo:
-            sat_memo[key] = saturate_layer(
-                j, sys, layered_seed(sys, window, q_end))
-        return sat_memo[key]
-
-    out = []
-    for qs in product(*[sys.controls] * m, [q_out]):
-        autos = tuple(saturated(j, qs[j + 1]) for j in range(m))
-        v = ReachVertex(qs, autos)
-        if _admissible(v):
-            out.append(v)
-    return out
+    return _chains(sys.controls, q_out, sys.stacks,
+                   lambda j, q_next: saturate_layer(
+                       j, sys, layered_seed(sys, window, q_next)))
 
 
 class _Graph:
@@ -242,26 +254,27 @@ class _Graph:
         self.edges = []  # (predecessor key, vertex key), as the walk admits them
 
     def predecessors(self, v: ReachVertex):
-        """Source vertices of edges into ``v`` (one round earlier)."""
-        m = self.sys.stacks
-        for qs in product(*[self.sys.controls] * m, [v.controls[0]]):
-            autos = []
-            for j in range(m):
-                key = (j, v.autos[j].uid, v.autos[j].revision, qs[j + 1],
-                       v.controls[j])
-                aut = self.pred_memo.get(key)
-                if aut is None:
-                    aut = predecessor(j, self.sys, v.autos[j], self.window,
-                                      qs[j + 1], v.controls[j])
-                    self.pred_memo[key] = aut
-                if aut.state_count() > self.bound:
-                    raise VertexBudgetExceeded(
-                        "layered-automaton state ceiling", aut.state_count(),
-                        "states", self.bound)
-                autos.append(aut)
-            cand = ReachVertex(qs, tuple(autos))
-            if _admissible(cand):
-                yield cand
+        """Source vertices of edges into ``v`` (one round earlier).
+
+        Stack j's new round depends only on the control opening its next
+        segment, so the candidates are built as chains, last stack first.
+        """
+        def component(j, q_next):
+            key = (j, v.autos[j].uid, v.autos[j].revision, q_next,
+                   v.controls[j])
+            aut = self.pred_memo.get(key)
+            if aut is None:
+                aut = predecessor(j, self.sys, v.autos[j], self.window,
+                                  q_next, v.controls[j])
+                self.pred_memo[key] = aut
+            if aut.state_count() > self.bound:
+                raise VertexBudgetExceeded(
+                    "layered-automaton state ceiling", aut.state_count(),
+                    "states", self.bound)
+            return aut
+
+        return _chains(self.sys.controls, v.controls[0], self.sys.stacks,
+                       component)
 
     def vertices(self, q_out):
         """The graph's vertices into ``q_out``, breadth first.

@@ -139,3 +139,16 @@ def fix_sc():
         Rule("c3", "b", ST.rew("b"), "c4"),
     ]
     return Mcpds(2, {"a", "b"}, [f"c{i}" for i in range(6)], [r1, r2], ("scope", 2))
+
+
+def three_stack(last_pop_src):
+    """Push on stacks 1, 2 and 3, then pop them in turn (``q0`` to ``q6``);
+    stack 3's pop fires at ``last_pop_src``."""
+    r1 = [Rule("q0", "_", ST.push("a", 2), "q1"),
+          Rule("q3", "a", ST.pop(1), "q4")]
+    r2 = [Rule("q1", "_", ST.push("b", 2), "q2"),
+          Rule("q4", "b", ST.pop(1), "q5")]
+    r3 = [Rule("q2", "_", ST.push("c", 2), "q3"),
+          Rule(last_pop_src, "c", ST.pop(1), "q6")]
+    return Mcpds(2, {"a", "b", "c"}, [f"q{i}" for i in range(7)],
+                 [r1, r2, r3], "ordered")

@@ -9,8 +9,6 @@ import cpds.phases
 import cpds.stacks as ST
 from cpds import (
     BudgetExceeded,
-    Mcpds,
-    Rule,
     apply_op,
     bottom,
     exact_stack_automaton,
@@ -26,6 +24,8 @@ from cpds.oracle import (
     gen_random_system,
     prestar_oracle,
 )
+
+from conftest import three_stack
 
 
 def _o3(*cols):
@@ -83,26 +83,15 @@ def test_order3_prestar_differential():
     assert checked >= 20
 
 
-def _three_stack(last_pop_src):
-    r1 = [Rule("q0", "_", ST.push("a", 2), "q1"),
-          Rule("q3", "a", ST.pop(1), "q4")]
-    r2 = [Rule("q1", "_", ST.push("b", 2), "q2"),
-          Rule("q4", "b", ST.pop(1), "q5")]
-    r3 = [Rule("q2", "_", ST.push("c", 2), "q3"),
-          Rule(last_pop_src, "c", ST.pop(1), "q6")]
-    return Mcpds(2, {"a", "b", "c"}, [f"q{i}" for i in range(7)],
-                 [r1, r2, r3], "ordered")
-
-
 def test_three_stack_ordered_reachable_slow():
-    sysd = _three_stack("q5")
+    sysd = three_stack("q5")
     v = control_reachability_oracle(sysd, "q0", "q6")
     assert v.definitely_reachable
     assert ordered_reachability(sysd, "q0", "q6") is True
 
 
 def test_three_stack_ordered_blocked_slow():
-    sysd = _three_stack("q3")  # pops stack 3 while stacks 1 and 2 are full
+    sysd = three_stack("q3")  # pops stack 3 while stacks 1 and 2 are full
     v = control_reachability_oracle(sysd, "q0", "q6")
     assert v.definitely_unreachable
     assert ordered_reachability(sysd, "q0", "q6") is False
@@ -111,14 +100,14 @@ def test_three_stack_ordered_blocked_slow():
 def test_three_stack_scope_and_phase():
     from cpds import phase_reachability, scope_reachability
 
-    sysd = _three_stack("q5").with_mode(("phase", 3))
+    sysd = three_stack("q5").with_mode(("phase", 3))
     for z in (1, 2, 3, 4):
         want = control_reachability_oracle(
             sysd.with_mode(("phase", z)), "q0", "q6",
             ExploreBounds(40, 60, 30000))
         got = phase_reachability(sysd, z, "q0", "q6")
         assert got == want.definitely_reachable, z
-    szd = _three_stack("q5").with_mode(("scope", 2))
+    szd = three_stack("q5").with_mode(("scope", 2))
     for zeta in (1, 2):
         want = control_reachability_oracle(
             szd.with_mode(("scope", zeta)), "q0", "q6",
@@ -137,6 +126,6 @@ def test_three_stack_phase_walk_shares_saturations(monkeypatch):
         return prestar(*args, **kw)
 
     monkeypatch.setattr(cpds.phases, "prestar", counted)
-    sysd = _three_stack("q5")
+    sysd = three_stack("q5")
     assert cpds.phases.phase_reachability(sysd, 2, "q0", "q6") is False
     assert len(calls) <= 528

@@ -1,3 +1,6 @@
+import hashlib
+from itertools import product
+
 import pytest
 
 import cpds.scopes
@@ -30,7 +33,7 @@ from cpds.oracle import (
 from cpds.automata import copy_into
 from cpds.scopes import layered_seed, reachability_graph_dot, saturate_layer, surface
 
-from conftest import ask_in_shuffled_order, fix_sc
+from conftest import ask_in_shuffled_order, fix_sc, three_stack
 
 
 WINDOW = 3  # scope bound 2 keeps three layers
@@ -432,3 +435,84 @@ def test_graph_dot_draws_the_walk_edges(monkeypatch):
     vertices = dot.count("[shape=box")
     assert len(calls) == vertices > 1
     assert len({id(v) for v in calls}) == vertices
+
+
+def product_candidates(controls, q_last, stacks, component):
+    """Admissible vertices by the full product ``controls^m x {q_last}``."""
+    out = []
+    for qs in product(*[controls] * stacks, [q_last]):
+        autos = tuple(component(j, qs[j + 1]) for j in range(stacks))
+        if all(a.nonempty([a.require_control(q, 1)])
+               for q, a in zip(qs, autos)):
+            out.append(cpds.scopes.ReachVertex(qs, autos))
+    return out
+
+
+def listing(vertices):
+    return [(v.controls, tuple(a.canonical_key() for a in v.autos))
+            for v in vertices]
+
+
+def test_chains_list_the_product_candidates_in_order():
+    prof = RandomProfile(order=2, controls=3, letters=2, stacks=2, rules=6,
+                         mode="unrestricted")
+    # in seed 12 and the three-stack seed 1, a later q_{j+1} admits a q_j
+    # that comes earlier in control order: the chains must be put in order
+    three = RandomProfile(order=2, controls=3, letters=2, stacks=3, rules=6,
+                          mode="unrestricted")
+    systems = [(fix_sc(), "c5"), (three_stack("q5"), "q6")]
+    systems += [(s, s.controls[-1]) for s in
+                [gen_random_system(seed, prof) for seed in (*range(1, 9), 12)]
+                + [gen_random_system(1, three)]]
+    compared = candidates = 0
+    for sysd, q_out in systems:
+        for zeta in (1, 2, 3):
+            window = zeta + 1
+            want = product_candidates(
+                sysd.controls, q_out, sysd.stacks,
+                lambda j, q: saturate_layer(j, sysd,
+                                            layered_seed(sysd, window, q)))
+            assert listing(initial_vertices(sysd, zeta, q_out)) == listing(want)
+            g = cpds.scopes._Graph(sysd, zeta)
+            memo = {}
+            for v in list(g.vertices(q_out)):
+                def component(j, q_next, v=v):
+                    a = v.autos[j]
+                    key = (j, a.uid, a.revision, q_next, v.controls[j])
+                    if key not in memo:
+                        memo[key] = predecessor(j, sysd, a, window, q_next,
+                                                v.controls[j])
+                    return memo[key]
+
+                want = product_candidates(sysd.controls, v.controls[0],
+                                          sysd.stacks, component)
+                got = listing(g.predecessors(v))
+                assert got == listing(want), (q_out, zeta, v.controls)
+                compared += 1
+                candidates += len(got)
+    assert compared >= 300 and candidates >= 1000
+
+
+def test_unreachable_query_bounds_its_predecessor_computations(monkeypatch):
+    # criterion 5's profile, seed 1: the full product of candidates made
+    # 320 predecessor computations, the chains, last stack first, make 200
+    prof = RandomProfile(order=2, controls=3, letters=2, stacks=2, rules=6,
+                         mode="unrestricted")
+    sysd = gen_random_system(1, prof)
+    calls = []
+    real = cpds.scopes.predecessor
+    monkeypatch.setattr(cpds.scopes, "predecessor",
+                        lambda *args: calls.append(args) or real(*args))
+    assert scope_reachability(sysd, 3, "q0", "q2") is False
+    assert len(calls) == 200
+
+
+def test_graph_dot_text_is_pinned():
+    # the edges follow the candidate order; digests of the full product walk
+    want = {
+        2: "9641a9b3bd4bdeb86ebd6f8087b70f4e6d2b50fc23237df995e4c32646d04081",
+        3: "164482d152eb64bf8351ed0b7cbcec6fcbda68f0da644170e38fa89f5a1a9968",
+    }
+    for zeta, digest in want.items():
+        dot = reachability_graph_dot(fix_sc(), zeta, "c5")
+        assert hashlib.sha256(dot.encode()).hexdigest() == digest, zeta
