@@ -181,14 +181,12 @@ def lf_key(t: LongForm) -> str:
 class _Options:
     """Each state's transitions in the order the emptiness solver tries them.
 
-    Built per solve, and per state on first use; ``delta_high`` is grouped
-    by source in one pass per order.
+    Built per solve, and per state on first use.
     """
 
     def __init__(self, aut: "StackAutomaton"):
-        self.delta_high = aut.delta_high
+        self.high_from = aut.high_from
         self.delta1 = aut.delta1
-        self._by_source: dict = {}  # order -> source -> [(label, targets)]
         self._high: dict = {}
         self._low: dict = {}
 
@@ -196,13 +194,8 @@ class _Options:
         """``(label, targets)`` out of an order >= 2 state, sorted."""
         hit = self._high.get(q)
         if hit is None:
-            groups = self._by_source.get(q.order)
-            if groups is None:
-                groups = self._by_source[q.order] = {}
-                for (src, targets), label in self.delta_high[q.order].items():
-                    groups.setdefault(src, []).append((label, targets))
             hit = self._high[q] = sorted(
-                groups.get(q, ()), key=lambda p: (p[0].key, _set_key(p[1]))
+                self.high_from(q), key=lambda p: (p[0].key, _set_key(p[1]))
             )
         return hit
 
@@ -223,7 +216,10 @@ class StackAutomaton:
     """Mutable builder for an order-n stack automaton.
 
     Mutation is meant to be single-writer (the saturation loop); queries
-    memoise per revision and are safe between mutations.
+    memoise and are safe between mutations.  Membership and emptiness
+    answers are kept for one revision.  A chain enumeration depends only on
+    the transitions at or below its state, so it is kept until a transition
+    is added out of that state or out of a state below it.
     """
 
     def __init__(self, order: int, alphabet):
@@ -236,6 +232,10 @@ class StackAutomaton:
         self.delta_high = {k: {} for k in range(2, order + 1)}
         # delta1[src][(letter, branch, targets)] = None  (ordered set)
         self.delta1 = {}
+        # the high transitions by source, in insertion order:
+        # _high_out[src] = [(label, targets)]; and _high_in[label] = {src}
+        self._high_out = {}
+        self._high_in = {}
         self.controls = {}
         self.layer_controls = {}
         self.layers = {}
@@ -243,6 +243,7 @@ class StackAutomaton:
         self.revision = 0
         self._accept_memo = {}
         self._chain_memo = {}
+        self._sf_keys = {}  # state -> the set_form_chains keys naming it
         self._emptiness = None
         self._unregistered = {}  # control key -> state, see peek_control
         StackAutomaton._uid_counter += 1
@@ -258,6 +259,8 @@ class StackAutomaton:
         a.finals = {k: dict(v) for k, v in self.finals.items()}
         a.delta_high = {k: dict(v) for k, v in self.delta_high.items()}
         a.delta1 = {q: dict(v) for q, v in self.delta1.items()}
+        a._high_out = {q: list(v) for q, v in self._high_out.items()}
+        a._high_in = {q: set(v) for q, v in self._high_in.items()}
         a.controls = dict(self.controls)
         a.layer_controls = dict(self.layer_controls)
         a.layers = dict(self.layers)
@@ -267,7 +270,21 @@ class StackAutomaton:
     def _touch(self):
         self.revision += 1
         self._accept_memo.clear()
-        self._chain_memo.clear()
+
+    def _forget_chains(self, state: State):
+        """Drop the memoised chain enumerations that read ``state``'s
+        transitions: those of ``state`` and of every state above it, and
+        the set forms naming one of them.  Each step up raises the order,
+        so the walk ends."""
+        memo = self._chain_memo
+        work = [state]
+        while work:
+            s = work.pop()
+            memo.pop(s, None)
+            memo.pop(("lf", s), None)
+            for key in self._sf_keys.pop(s, ()):
+                memo.pop(key, None)
+            work.extend(self._high_in.get(s, ()))
 
     def add_state(self, s: State, final: bool = False, layer: int | None = None) -> State:
         if not 1 <= s.order <= self.order:
@@ -364,6 +381,9 @@ class StackAutomaton:
         for t in targets:
             self.add_state(t)
         self.delta_high[k][key] = label
+        self._high_out.setdefault(src, []).append((label, targets))
+        self._high_in.setdefault(label, set()).add(src)
+        self._forget_chains(src)
         self._touch()
         return label
 
@@ -386,6 +406,7 @@ class StackAutomaton:
         for s in branch | targets:
             self.add_state(s)
         slot[key] = None
+        self._forget_chains(src)
         self._touch()
         return True
 
@@ -427,10 +448,7 @@ class StackAutomaton:
             yield letter, branch, targets
 
     def high_from(self, src: State):
-        k = src.order
-        for (s, targets), label in self.delta_high[k].items():
-            if s == src:
-                yield label, targets
+        yield from self._high_out.get(src, ())
 
     def chains_from(self, src: State):
         """All complete long-form chains out of ``src`` (at ``src.order``).
@@ -457,8 +475,8 @@ class StackAutomaton:
     def long_forms_from(self, head: State) -> tuple:
         """The long-form transitions out of ``head``, in chain order.
 
-        Memoised per revision, like :meth:`chains_from`; the tuple and its
-        long forms (with their cached keys) are shared between callers.
+        Memoised like :meth:`chains_from`; the tuple and its long forms
+        (with their cached keys) are shared between callers.
         """
         memo = self._chain_memo
         hit = memo.get(("lf", head))
@@ -489,13 +507,16 @@ class StackAutomaton:
         For each way of choosing one chain per member, yields the merged
         ``(letter, branch, targets)`` with unions taken pointwise; the merge
         is dropped when branch sets mix orders.  The empty set contributes
-        one all-empty merge per alphabet letter.  Memoised per revision
-        as a shared tuple.
+        one all-empty merge per alphabet letter.  Memoised as a shared
+        tuple until a member's chains change.
         """
-        memo_key = ("sf", frozenset(qs), upto)
+        qs = frozenset(qs)
+        memo_key = ("sf", qs, upto)
         hit = self._chain_memo.get(memo_key)
         if hit is None:
             hit = self._chain_memo[memo_key] = tuple(self._merges(qs, upto))
+            for q in qs:
+                self._sf_keys.setdefault(q, set()).add(memo_key)
         return hit
 
     def _merges(self, qs, upto: int):

@@ -56,7 +56,7 @@ class Char:
     plain stack.
     """
 
-    __slots__ = ("letter", "ann", "pr", "cr", "_hash")
+    __slots__ = ("letter", "ann", "pr", "cr", "_hash", "_size")
 
     def __init__(self, letter, ann, pr, cr, _hash):
         self.letter = letter
@@ -64,6 +64,7 @@ class Char:
         self.pr = pr
         self.cr = cr
         self._hash = _hash
+        self._size = None  # see tree_size
 
     def __hash__(self):
         return self._hash
@@ -91,13 +92,14 @@ class Stack:
     ``pr`` is the pop-round tag, ``None`` on a plain stack.
     """
 
-    __slots__ = ("order", "entries", "pr", "_hash")
+    __slots__ = ("order", "entries", "pr", "_hash", "_size")
 
     def __init__(self, order, entries, pr, _hash):
         self.order = order
         self.entries = entries
         self.pr = pr
         self._hash = _hash
+        self._size = None  # see tree_size
 
     def __hash__(self):
         return self._hash
@@ -183,10 +185,18 @@ def erase_rounds(w: Stack) -> Stack:
 
 
 def tree_size(w) -> int:
-    """Number of nodes: one per stack, one per character plus its annotation."""
-    if isinstance(w, Char):
-        return 1 + (0 if w.ann is None else tree_size(w.ann))
-    return 1 + sum(tree_size(e) for e in w.entries)
+    """Number of nodes: one per stack, one per character plus its annotation.
+
+    Kept on the (immutable) stack or character after the first call.
+    """
+    size = w._size
+    if size is None:
+        if isinstance(w, Char):
+            size = 1 + (0 if w.ann is None else tree_size(w.ann))
+        else:
+            size = 1 + sum(tree_size(e) for e in w.entries)
+        w._size = size
+    return size
 
 
 # ---------------------------------------------------------------------------

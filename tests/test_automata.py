@@ -14,10 +14,12 @@ from cpds import (
     intersect,
     mk_char,
     mk_stack,
+    prestar,
     union,
 )
+from cpds import saturation
 from cpds.automata import copy_into
-from cpds.oracle import enumerate_stacks
+from cpds.oracle import RandomProfile, enumerate_stacks, gen_random_system
 from cpds.scopes import layered_seed
 
 from conftest import ask_in_shuffled_order, fix_sc, s1, s2
@@ -98,6 +100,77 @@ def test_chain_memos_follow_the_revision():
     u = lf(q, "a", targets=((), (q,)))
     assert b.add_long_form(u)
     assert u in b.long_forms_from(q) and u not in a.long_forms_from(q)
+
+
+def _memo_matches_a_fresh_copy(a) -> int:
+    """Check every memoised chain enumeration of ``a`` against a fresh copy,
+    which has no memo; returns the number of answers checked."""
+    fresh = a.copy()
+    for key, hit in list(a._chain_memo.items()):
+        if isinstance(key, State):
+            want = fresh.chains_from(key)
+        elif key[0] == "lf":
+            want = fresh.long_forms_from(key[1])
+        else:
+            want = fresh.set_form_chains(key[1], key[2])
+        assert hit == want, key
+    return len(a._chain_memo)
+
+
+def test_chain_memos_match_a_fresh_copy_after_each_pass(monkeypatch):
+    checked = []
+    real_pass = saturation._saturation_pass
+
+    def checked_pass(source, read, write, **kw):
+        added = real_pass(source, read, write, **kw)
+        checked.append((added, _memo_matches_a_fresh_copy(write)))
+        return added
+
+    monkeypatch.setattr(saturation, "_saturation_pass", checked_pass)
+    for order in (2, 3):
+        prof = RandomProfile(order=order, controls=8, letters=3, stacks=1, rules=30)
+        for seed in range(20):
+            sysd = gen_random_system(seed, prof)
+            a0 = accept_all_automaton(order, sysd.alphabet, sysd.controls,
+                                      [sysd.controls[-1]])
+            prestar(sysd, a0)
+    # checked after passes that add transitions, too
+    assert sum(n for added, n in checked if added) > 1000
+
+
+def test_chain_memos_follow_a_label_with_two_sources():
+    a = exact_stack_automaton(3, {"a", "b"}, {"q": [bottom(3)]})
+    b = exact_stack_automaton(3, {"a", "b"}, {"p": [bottom(3)]})
+    qa, qb = a.require_control("q"), b.require_control("p")
+    c, pairs = union(a, b, [(qa, qb)])
+    u = pairs[(qa, qb)]
+    (label2, _), = a.high_from(qa)
+    (label1, _), = a.high_from(label2)
+    shared, left = State(2, ("L",) + label2.name), State(3, ("L",) + qa.name)
+    sources = [s for s in c.states[3] if shared in {l for l, _ in c.high_from(s)}]
+    assert sorted(sources, key=repr) == sorted([u, left], key=repr)
+    below = State(1, ("L",) + label1.name)
+    # below the shared label, then at it
+    for insert, chains in ((lambda: c.add_delta1(below, "a", [], []), 2),
+                           (lambda: c.add_high_transition(shared, [], label=below), 4)):
+        for s in sources:
+            c.long_forms_from(s)
+        c.set_form_chains(sources, 3)
+        c.set_form_chains([u], 3)
+        insert()
+        assert _memo_matches_a_fresh_copy(c)
+        assert len(c.long_forms_from(left)) == chains
+        assert {t.rehead(u) for t in c.long_forms_from(left)} <= set(c.long_forms_from(u))
+
+
+def test_insertion_keeps_the_chains_it_does_not_reach():
+    a = exact_stack_automaton(2, {"a", "b"}, {"q": [s2(s1("a"))], "p": [s2(s1("b"))]})
+    q, p = a.require_control("q"), a.require_control("p")
+    lfs, merges = a.long_forms_from(p), a.set_form_chains([p], 2)
+    q_merges = a.set_form_chains([p, q], 2)
+    assert a.add_long_form(lf(q, "b"))
+    assert a.long_forms_from(p) is lfs and a.set_form_chains([p], 2) is merges
+    assert a.set_form_chains([p, q], 2) is not q_merges
 
 
 def test_determinism_at_high_orders_enforced():
