@@ -84,13 +84,11 @@ from .saturation import (
 )
 from .extended import (
     FiniteLanguage,
-    TransitionAutomaton,
     prestar_extended,
 )
 from .ordered import (
     CpdaLang,
     LeftCpda,
-    build_langcheckcpds,
     build_leftcpda,
     build_rightcpds,
     ordered_global,

@@ -275,14 +275,26 @@ class StackAutomaton:
         """Drop the memoised chain enumerations that read ``state``'s
         transitions: those of ``state`` and of every state above it, and
         the set forms naming one of them.  Each step up raises the order,
-        so the walk ends."""
+        so the walk ends.
+
+        The walk stops at a state that holds no chain, long-form or set-form
+        entry; nothing above it holds one that reads ``state``.  A chain
+        enumeration memoises every label below it, and a long-form one its
+        chain enumeration; a walk that drops an entry goes on to every
+        state above, so the states with a chain entry stay closed downward.
+        A set form memoises the chains of its members up to the first whose
+        merge comes out empty, and stays empty whatever the later members
+        hold; a walk that reaches an earlier member drops it.
+        """
         memo = self._chain_memo
         work = [state]
         while work:
             s = work.pop()
-            memo.pop(s, None)
+            sf_keys = self._sf_keys.pop(s, ())
+            if memo.pop(s, None) is None and not sf_keys:
+                continue  # no chain entry means no long-form entry either
             memo.pop(("lf", s), None)
-            for key in self._sf_keys.pop(s, ()):
+            for key in sf_keys:
                 memo.pop(key, None)
             work.extend(self._high_in.get(s, ()))
 

@@ -22,7 +22,6 @@ from .systems import Mcpds, Rule
 __all__ = [
     "state_control",
     "ta_predecessors",
-    "TransitionAutomaton",
     "FiniteLanguage",
     "prestar_extended",
 ]
@@ -56,19 +55,6 @@ def _walk_back(word, t2: LongForm, aut: StackAutomaton):
         if not frontier:
             break
     return frontier
-
-
-class TransitionAutomaton:
-    """On-the-fly view of ``T(aut, t, t')``; words label its runs."""
-
-    def __init__(self, aut: StackAutomaton, initial: LongForm, final: LongForm):
-        self.aut = aut
-        self.initial = initial
-        self.final = final
-
-    def accepts(self, word) -> bool:
-        """Is there a run from ``initial`` to ``final`` labelled ``word``?"""
-        return self.initial.key in _walk_back(word, self.final, self.aut)
 
 
 class FiniteLanguage:

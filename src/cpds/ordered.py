@@ -48,6 +48,7 @@ from .systems import (
     ExtRule,
     Mcpds,
     Rule,
+    _fireable,
     add_clearing_rules,
     bottom_rule_ok,
     normalize_ordered,
@@ -59,7 +60,6 @@ __all__ = [
     "CpdaLang",
     "build_leftcpda",
     "build_rightcpds",
-    "build_langcheckcpds",
     "ordered_reachability",
     "ordered_global",
 ]
@@ -209,32 +209,6 @@ def _materialize(rules_into, order, alphabet, stacks, seeds) -> Mcpds:
                 queue.append(rule.src)
     return Mcpds(order, alphabet, list(controls),
                  [set(rs) for rs in rule_sets], "ordered")
-
-
-def build_langcheckcpds(left: LeftCpda, aut: StackAutomaton, t: LongForm,
-                        tprime: LongForm, push_letter: str, stack_index: int):
-    """The entry/exit product for one emptiness query.
-
-    Entry pushes the segment's bottom push onto the chosen stack and moves
-    to ``(q1, t)``; exit steps from ``(q2, t')`` to the exit sentinel.  The
-    exit is restricted to the query's final transition ``t'``.  Returns
-    ``(system, enter, exit)`` with the product materialised backward from
-    the exit.
-    """
-    q1 = state_control(t.head)
-    q2 = state_control(tprime.head)
-    enter, leave = ("enter",), ("exit",)
-    sentinels = {
-        leave: [(stack_index, Rule((q2, tprime), BOTTOM, ST.noop(), leave))],
-        (q1, t): [(stack_index,
-                   Rule(enter, BOTTOM, ST.push(push_letter, left.order), (q1, t)))],
-    }
-
-    def rules_into(dst):
-        return sentinels.get(dst, []) + _product_rules(left, aut, dst)
-
-    sysm = _materialize(rules_into, left.order, left.alphabet, left.stacks, [leave])
-    return sysm, enter, leave
 
 
 class CpdaLang:
@@ -463,8 +437,18 @@ def _prepare(sys: Mcpds):
 
 
 def ordered_reachability(sys: Mcpds, q_in, q_out) -> bool:
-    """Can the all-empty configuration at ``q_in`` reach control ``q_out``?"""
+    """Can the all-empty configuration at ``q_in`` reach control ``q_out``?
+
+    Solves only the rules of the cleared system that can fire from
+    ``q_in``; the clearing pops of letters that never reach their stack go
+    with the rest.
+    """
     cleared, fin = add_clearing_rules(_prepare(sys), q_out)
+    return _reach_cleared(_fireable(cleared, q_in), q_in, fin)
+
+
+def _reach_cleared(cleared: Mcpds, q_in, fin) -> bool:
+    """Does the all-empty configuration at ``q_in`` reach ``(fin, all-empty)``?"""
     b = OrderedSolver()._prestar_last(cleared, fin)
     return b.has_control(q_in) and b.member(q_in, ST.bottom(cleared.order))
 

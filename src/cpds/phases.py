@@ -30,7 +30,7 @@ from .errors import BudgetExceeded, NotSupported
 from .extended import ta_predecessors
 from .regular import RegTuple, RegularConfigSet
 from .saturation import prestar
-from .systems import Mcpds, Rule
+from .systems import Mcpds, Rule, _fireable
 
 __all__ = [
     "build_pbcpds",
@@ -292,12 +292,12 @@ class _PhaseSolver:
 
 def phase_reachability(sys: Mcpds, z: int, q_in, q_out) -> bool:
     """Is ``q_out`` reachable from the all-empty configuration at ``q_in``
-    within ``z`` phases?"""
+    within ``z`` phases?  Solves only the rules that can fire from ``q_in``."""
     if q_in == q_out:
         return True
     if z < 1:
         return False
-    return _PhaseSolver(sys, z).reach(q_in, q_out)
+    return _PhaseSolver(_fireable(sys, q_in), z).reach(q_in, q_out)
 
 
 def phase_global(sys: Mcpds, z: int, q_out) -> RegularConfigSet:

@@ -32,7 +32,7 @@ from .automata import LongForm, StackAutomaton, State, copy_into, flat_key
 from .errors import NotSupported, VertexBudgetExceeded
 from .regular import RegTuple, RegularConfigSet
 from .saturation import ExplicitRules, prestar
-from .systems import Mcpds
+from .systems import Mcpds, _fireable
 
 __all__ = [
     "shift",
@@ -321,9 +321,18 @@ def _accepts_empty(v: ReachVertex, q_in) -> bool:
 
 
 def scope_reachability(sys: Mcpds, zeta: int, q_in, q_out) -> bool:
-    """Is ``q_out`` reachable from all-empty at ``q_in`` under scope zeta?"""
+    """Is ``q_out`` reachable from all-empty at ``q_in`` under scope zeta?
+
+    Solves only the rules that can fire from ``q_in``.
+    """
     if q_in == q_out:
         return True
+    return _reach(_fireable(sys, q_in), zeta, q_in, q_out)
+
+
+def _reach(sys: Mcpds, zeta: int, q_in, q_out) -> bool:
+    """Does some vertex of the graph into ``q_out`` accept all-empty at
+    ``q_in``?"""
     g = _Graph(sys, zeta)
     return any(_accepts_empty(v, q_in) for v in g.vertices(q_out))
 

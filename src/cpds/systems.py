@@ -471,3 +471,39 @@ def add_clearing_rules(sys: Mcpds, target_control):
     return out, fin
 
 
+# ---------------------------------------------------------------------------
+# Verdict slicing
+# ---------------------------------------------------------------------------
+
+
+def _fireable(sys: Mcpds, q_in) -> Mcpds:
+    """``sys`` with only the rules that a run from ``q_in``, all stacks
+    empty, can fire.
+
+    Over-approximates with a set C of controls, from ``{q_in}``, and per
+    stack a set L_i of letters, from ``{BOTTOM}``: a rule of stack i can
+    fire when its source is in C and its letter is in L_i; firing adds its
+    target to C, and a pushed or written letter to L_i.  Pop, collapse and
+    copy expose only letters already on the stack, and the run restriction
+    is ignored, so every run from the start fires only kept rules and
+    verdicts from ``q_in`` stay the same.  Controls, alphabet, mode and the
+    rule order are kept.
+    """
+    reached = {q_in}
+    letters = [{BOTTOM} for _ in sys.rule_sets]
+    kept = [[False] * len(rs) for rs in sys.rule_sets]
+    grown = True
+    while grown:
+        grown = False
+        for i, rs in enumerate(sys.rule_sets):
+            for n, r in enumerate(rs):
+                if kept[i][n] or r.src not in reached or r.letter not in letters[i]:
+                    continue
+                kept[i][n] = grown = True
+                reached.add(r.dst)
+                if r.op.kind in ("push", "rew"):
+                    letters[i].add(r.op.letter)
+    rule_sets = [[r for r, k in zip(rs, ks) if k]
+                 for rs, ks in zip(sys.rule_sets, kept)]
+    return Mcpds(sys.order, sys.alphabet, sys.controls, rule_sets, sys.mode,
+                 sys.ext_rule_sets)

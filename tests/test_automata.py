@@ -173,6 +173,29 @@ def test_insertion_keeps_the_chains_it_does_not_reach():
     assert a.set_form_chains([p, q], 2) is not q_merges
 
 
+def test_set_form_that_stopped_early_survives_insertions_below_later_members():
+    a = StackAutomaton(2, {"a", "b"})
+    x, y, z = (a.control_state(c) for c in "xyz")
+    for head, letter in ((x, "a"), (y, "b"), (z, "a")):
+        a.add_long_form(lf(head, letter))
+    (below_x, _), = a.high_from(x)
+    (below_z, _), = a.high_from(z)
+    members = [x, y, z]
+    # x and y share no letter, so the merge stops before z's chains
+    assert a.set_form_chains(members, 2) == ()
+    assert below_z not in a._chain_memo
+    # below the later member the walk stops at once; the merge stays empty
+    assert a.add_delta1(below_z, "b", [], [])
+    assert ("sf", frozenset(members), 2) in a._chain_memo
+    assert _memo_matches_a_fresh_copy(a)
+    # below the first member it reaches the set form, which now reads z
+    assert a.add_delta1(below_x, "b", [], [])
+    assert _memo_matches_a_fresh_copy(a) and x not in a._chain_memo
+    merged = a.set_form_chains(members, 2)
+    assert merged == a.copy().set_form_chains(members, 2)
+    assert [letter for letter, _, _ in merged] == ["b"]
+
+
 def test_determinism_at_high_orders_enforced():
     a = StackAutomaton(2, {"a"})
     q = a.control_state("p")

@@ -127,5 +127,5 @@ def test_three_stack_phase_walk_shares_saturations(monkeypatch):
 
     monkeypatch.setattr(cpds.phases, "prestar", counted)
     sysd = three_stack("q5")
-    assert cpds.phases.phase_reachability(sysd, 2, "q0", "q6") is False
+    assert cpds.phases._PhaseSolver(sysd, 2).reach("q0", "q6") is False
     assert len(calls) <= 528

@@ -11,13 +11,12 @@ from cpds import (
     LanguageQueryFailure,
     LongForm,
     Rule,
-    TransitionAutomaton,
     bottom,
     exact_stack_automaton,
     prestar,
     prestar_extended,
 )
-from cpds.extended import ta_predecessors
+from cpds.extended import _walk_back, ta_predecessors
 from cpds.oracle import RandomProfile, enumerate_stacks, gen_random_system, prestar_oracle
 
 from conftest import s1, s2
@@ -43,6 +42,20 @@ def test_ta_edges_backward():
     assert t1.head == a.peek_control("p") and t1.letter == "a"
     # consuming rules never label edges
     assert ta_predecessors(Rule("p", "a", ST.pop(1), "q"), t2, a) == []
+
+
+class TransitionAutomaton:
+    """On-the-fly view of ``T(aut, t, t')``; words label its runs.  The
+    reference for the backward walk the extended saturation runs."""
+
+    def __init__(self, aut, initial, final):
+        self.aut = aut
+        self.initial = initial
+        self.final = final
+
+    def accepts(self, word) -> bool:
+        """Is there a run from ``initial`` to ``final`` labelled ``word``?"""
+        return self.initial.key in _walk_back(word, self.final, self.aut)
 
 
 def test_transition_automaton_accepts_words():

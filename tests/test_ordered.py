@@ -9,7 +9,6 @@ from cpds import (
     NotNormalized,
     Rule,
     bottom,
-    build_langcheckcpds,
     build_leftcpda,
     build_rightcpds,
     normalize_ordered,
@@ -26,7 +25,13 @@ from cpds.oracle import (
     explore,
     gen_random_system,
 )
-from cpds.ordered import CpdaLang, OrderedSolver, _require_normalized
+from cpds.ordered import (
+    CpdaLang,
+    OrderedSolver,
+    _materialize,
+    _product_rules,
+    _require_normalized,
+)
 from cpds.systems import add_clearing_rules
 
 from conftest import fix3, fix3_blocked
@@ -89,6 +94,31 @@ def test_single_stack_base_case():
     sysd = Mcpds(2, {"a"}, ["p", "m", "t"], [rules], "ordered")
     assert ordered_reachability(sysd, "p", "t") is True
     assert ordered_reachability(sysd, "t", "p") is False
+
+
+def build_langcheckcpds(left, aut, t, tprime, push_letter, stack_index):
+    """The entry/exit product for one emptiness query, as a reference.
+
+    Entry pushes the segment's bottom push onto the chosen stack and moves
+    to ``(q1, t)``; exit steps from ``(q2, t')`` to the exit sentinel.  The
+    exit is restricted to the query's final transition ``t'``.  Returns
+    ``(system, enter, exit)`` with the product materialised backward from
+    the exit.
+    """
+    q1 = state_control(t.head)
+    q2 = state_control(tprime.head)
+    enter, leave = ("enter",), ("exit",)
+    sentinels = {
+        leave: [(stack_index, Rule((q2, tprime), ST.BOTTOM, ST.noop(), leave))],
+        (q1, t): [(stack_index,
+                   Rule(enter, ST.BOTTOM, ST.push(push_letter, left.order), (q1, t)))],
+    }
+
+    def rules_into(dst):
+        return sentinels.get(dst, []) + _product_rules(left, aut, dst)
+
+    sysm = _materialize(rules_into, left.order, left.alphabet, left.stacks, [leave])
+    return sysm, enter, leave
 
 
 def test_langcheck_product_matches_bounded_oracle():

@@ -289,7 +289,8 @@ def test_product_noop_moves_are_reheads(monkeypatch):
     for seed in range(1, 7):
         sysd = gen_random_system(seed, prof)
         for z in (1, 2):
-            phase_reachability(sysd, z, sysd.controls[0], sysd.controls[-1])
+            cpds.phases._PhaseSolver(sysd, z).reach(sysd.controls[0],
+                                                    sysd.controls[-1])
     assert sum(asked) >= 1000
 
 

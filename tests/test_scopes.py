@@ -503,7 +503,9 @@ def test_unreachable_query_bounds_its_predecessor_computations(monkeypatch):
     real = cpds.scopes.predecessor
     monkeypatch.setattr(cpds.scopes, "predecessor",
                         lambda *args: calls.append(args) or real(*args))
-    assert scope_reachability(sysd, 3, "q0", "q2") is False
+    # unsliced: from q0 no rule of this system can fire, and the sliced
+    # verdict's walk makes 8
+    assert cpds.scopes._reach(sysd, 3, "q0", "q2") is False
     assert len(calls) == 200
 
 
